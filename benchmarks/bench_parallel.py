@@ -36,11 +36,6 @@ from repro.parallel import make_executor, partition_evenly
 WORKER_COUNTS = (1, 2, 4)
 SPEEDUP_TARGET = 1.8
 
-#: Both dispatch flavors are compared at this worker count: the legacy
-#: per-chunk-pickled payloads vs the shared-state (fork-inherited
-#: registry + shm-backed corpus) path that is now the default.
-MODE_WORKERS = 2
-
 #: The seed baseline for the batch-scoring throughput lane: before the
 #: batch kernels, the 1-CPU reference container scored 10,699 pairs in
 #: 0.1424 s inside ``mfiblocks.score`` (PR-7 ledger baseline,
@@ -82,9 +77,9 @@ def _cpu_counts():
     return total, usable
 
 
-def _resolve(dataset, workers, shared_state=None):
+def _resolve(dataset, workers):
     tracer = Tracer()
-    executor = make_executor(workers, shared_state=shared_state)
+    executor = make_executor(workers)
     pipeline = UncertainERPipeline(
         PipelineConfig(ng=3.5, expert_weighting=True),
         tracer=tracer,
@@ -121,7 +116,6 @@ def _shared_stats(executor):
     """The shared-dispatch counters for a report's parallel block."""
     stats = executor.stats
     return {
-        "shared_state": bool(getattr(executor, "shared_state", False)),
         "shared_dispatches": stats.shared_dispatches,
         "bytes_not_pickled": stats.bytes_not_pickled,
         "shared_segment_bytes": stats.shared_segment_bytes,
@@ -199,58 +193,6 @@ def test_parallel_speedup_and_parity(corpus, benchmark, request):
             parallel=parallel_block,
             parallel_profile=executors[workers].profile_echo(),
         )
-
-    # Dispatch-mode comparison at MODE_WORKERS: legacy pickled payloads
-    # vs the shared-state default. Identical bytes out is asserted; the
-    # wall-clock and bytes-not-pickled delta is the point of the mode.
-    pickled_lines, pickled_elapsed, pickled_tracer, pickled_executor = (
-        _resolve(corpus, MODE_WORKERS, shared_state=False)
-    )
-    assert pickled_lines == lines[1], (
-        "pickled-payload dispatch diverged from serial output"
-    )
-    assert not pickled_executor.stats.shared_dispatches
-    emit_report(
-        f"parallel_w{MODE_WORKERS}_pickled", pickled_tracer,
-        config={
-            "label": f"resolve --workers {MODE_WORKERS} (pickled payloads)"
-        },
-        corpus={"name": corpus.name, "n_records": len(corpus)},
-        parallel={
-            "workers": MODE_WORKERS,
-            "cpu_count": cpu_count,
-            "cpu_usable": cpu_usable,
-            "wall_seconds": round(pickled_elapsed, 4),
-            "speedup_vs_serial": round(timings[1] / pickled_elapsed, 3),
-            "speedup_target": SPEEDUP_TARGET,
-            "speedup_ok": speedup_ok,
-            **_shared_stats(pickled_executor),
-        },
-        parallel_profile=pickled_executor.profile_echo(),
-    )
-    shared_stats = _shared_stats(executors[MODE_WORKERS])
-    mode_table = format_series(
-        "mode", ["pickled", "shared"],
-        [
-            ("wall s", [pickled_elapsed, timings[MODE_WORKERS]]),
-            (
-                "MB not pickled",
-                [
-                    0.0,
-                    shared_stats["bytes_not_pickled"] / 1e6,
-                ],
-            ),
-            (
-                "shm MB",
-                [0.0, shared_stats["shared_segment_bytes"] / 1e6],
-            ),
-        ],
-        title=(
-            f"Executor dispatch modes - {MODE_WORKERS} workers, "
-            f"{len(corpus)} records (byte-identical ranked output)"
-        ),
-    )
-    emit("parallel_modes", mode_table)
 
     table = format_series(
         "workers", list(WORKER_COUNTS),

@@ -35,10 +35,10 @@ from repro.contracts import ordered_output, pure
 from repro.mining.fpgrowth import maximal_frequent_itemsets
 from repro.mining.pruning import prune_frequent_items
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.executor import Executor
+from repro.parallel.executor import MIN_DISPATCH_PAIRS, Executor
 from repro.parallel.merge import max_merge_into
 from repro.parallel.shared import SharedStateHandle, publish_shared_state
-from repro.parallel.work import score_pair_chunk, score_pair_chunk_shared
+from repro.parallel.work import score_pair_chunk
 from repro.records.dataset import Dataset
 from repro.records.itembag import Item
 from repro.resilience.budgets import BudgetMeter, StageBudget
@@ -147,24 +147,15 @@ class MFIBlocks(BlockingAlgorithm):
             # One interned corpus serves every minsup level: block and
             # pair scoring run through the batch kernels against it
             # (bit-identical to the scalar scorer, see
-            # repro/similarity/batch.py). When the executor supports
-            # pickle-free dispatch the corpus is published once here —
-            # outside the descent loop — so the forked warm pool stays
-            # valid across iterations.
+            # repro/similarity/batch.py). A parallel run publishes it
+            # once here — outside the descent loop — so the forked warm
+            # pool stays valid across iterations.
             with tracer.span("mfiblocks.intern"):
                 corpus = InternedCorpus(item_bags)
             handle: Optional[SharedStateHandle] = None
-            executor = self.executor
-            if (
-                self._parallel
-                and executor is not None
-                and executor.shared_state
-            ):
+            if self._parallel:
                 handle = publish_shared_state(
                     scorer=config.scoring, corpus=corpus
-                )
-                executor.stats.shared_segment_bytes = max(
-                    executor.stats.shared_segment_bytes, handle.segment_bytes
                 )
             try:
                 for minsup in range(config.max_minsup, 1, -1):
@@ -184,12 +175,7 @@ class MFIBlocks(BlockingAlgorithm):
                         for records, key, score in admitted:
                             result.blocks.append(Block(records, key, score))
                             covered.update(records)
-                        if self._parallel:
-                            self._score_pairs_parallel(
-                                admitted, item_bags, result, corpus, handle
-                            )
-                        else:
-                            self._score_pairs_batch(admitted, corpus, result)
+                        self._score_pairs(admitted, corpus, result, handle)
                     tracer.count("mfiblocks.blocks_admitted", len(admitted))
                     if meter.degraded:
                         # Mining was cut short: the admitted blocks are
@@ -308,86 +294,49 @@ class MFIBlocks(BlockingAlgorithm):
             }
         )
 
-    def _score_pairs_batch(
+    def _score_pairs(
         self,
         admitted: List[Tuple[FrozenSet[int], FrozenSet[Item], float]],
         corpus: InternedCorpus,
         result: BlockingResult,
+        handle: Optional[SharedStateHandle],
     ) -> None:
-        """Record pair-level similarity for ranked resolution (serial).
+        """Record pair-level similarity for ranked resolution.
 
         Each admitted block contributes its member pairs; the pair
         score is the *record-pair* similarity under the configured
         scorer (not the block mean), maximized across blocks — the
         similarity value the uncertain-ER output associates with each
         match. Scoring runs through the batch kernels, which are
-        bit-identical per pair to ``pair_similarity``; the max-merge is
-        order-independent, so the mapping equals the historical
-        per-block loop's.
-        """
-        pairs = self._unique_pairs(admitted)
-        if not pairs:
-            return
-        scores = self.config.scoring.pair_similarity_batch(corpus, pairs)
-        max_merge_into(result.pair_scores, list(zip(pairs, scores)))
+        bit-identical per pair to ``pair_similarity``.
 
-    def _score_pairs_parallel(
-        self,
-        admitted: List[Tuple[FrozenSet[int], FrozenSet[Item], float]],
-        item_bags: Dict[int, FrozenSet[Item]],
-        result: BlockingResult,
-        corpus: InternedCorpus,
-        handle: Optional[SharedStateHandle],
-    ) -> None:
-        """One minsup level's pair scoring, chunked across workers.
-
-        Computes the same function as :meth:`_score_pairs_batch` over
-        all admitted blocks. With a published shared-state ``handle``
-        the chunks carry only ``(token, pairs)`` — the scorer and the
-        interned corpus come from the fork-inherited registry — and a
-        pair list below the executor's ``min_dispatch_items`` skips
-        dispatch entirely, running the same batch kernels inline.
-        Without a handle (shared state unsupported) the legacy pickled
-        payloads are used. All three routes score with bit-identical
-        kernels, chunking is a deterministic partition of the sorted
-        pair list, and the max-merge is order-independent, so the
-        resulting mapping — and the ranked output downstream — is
+        A parallel run (``handle`` published) dispatches chunks of
+        ``(handle.ref, pairs)`` to :func:`score_pair_chunk` unless the
+        pair list is below :data:`MIN_DISPATCH_PAIRS`, in which case the
+        same kernels run inline. Chunking is a deterministic partition
+        of the sorted pair list and the max-merge is order-independent,
+        so the mapping — and the ranked output downstream — is
         byte-identical across routes and worker counts
         (docs/PARALLELISM.md).
         """
-        executor = self.executor
-        if executor is None:  # pragma: no cover - guarded by _parallel
-            raise RuntimeError("parallel scoring requires an executor")
         pairs = self._unique_pairs(admitted)
         if not pairs:
             return
-        scorer = self.config.scoring
-        if handle is not None:
-            if len(pairs) < executor.min_dispatch_items:
-                # Too small to amortize dispatch: same kernels, inline.
-                scores = scorer.pair_similarity_batch(corpus, pairs)
-                max_merge_into(result.pair_scores, list(zip(pairs, scores)))
-                return
-            payloads: List[object] = [
-                (handle.token, chunk) for chunk in executor.plan_chunks(pairs)
-            ]
-            chunk_results = executor.map_chunks(
-                score_pair_chunk_shared, payloads,
-                tracer=self.tracer, label="mfiblocks.score_pairs",
-                shared_bytes=handle.baseline_bytes,
-            )
-        else:
-            payloads = []
-            for chunk in executor.plan_chunks(pairs):
-                # Ship only the item bags this chunk's pairs touch.
-                bags: Dict[int, FrozenSet[Item]] = {}
-                for rid_a, rid_b in chunk:
-                    bags[rid_a] = item_bags[rid_a]
-                    bags[rid_b] = item_bags[rid_b]
-                payloads.append((scorer, bags, chunk))
-            chunk_results = executor.map_chunks(
-                score_pair_chunk, payloads,
-                tracer=self.tracer, label="mfiblocks.score_pairs",
-            )
+        executor = self.executor
+        if (
+            handle is None
+            or executor is None
+            or len(pairs) < MIN_DISPATCH_PAIRS
+        ):
+            scores = self.config.scoring.pair_similarity_batch(corpus, pairs)
+            max_merge_into(result.pair_scores, list(zip(pairs, scores)))
+            return
+        chunk_results = executor.map_chunks(
+            score_pair_chunk,
+            [(handle.ref, chunk) for chunk in executor.plan_chunks(pairs)],
+            tracer=self.tracer,
+            label="mfiblocks.score_pairs",
+            shared=handle,
+        )
         for chunk_result in chunk_results:
             max_merge_into(result.pair_scores, chunk_result)

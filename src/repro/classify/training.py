@@ -31,10 +31,10 @@ from repro.classify.adtree import ADTreeModel
 from repro.classify.boosting import ADTreeLearner
 from repro.contracts import deterministic, ordered_output, seeded
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.executor import Executor
+from repro.parallel.executor import MIN_DISPATCH_PAIRS, Executor
 from repro.parallel.merge import merge_scored_chunks
 from repro.parallel.shared import publish_shared_state
-from repro.parallel.work import classify_pair_chunk, classify_pair_chunk_shared
+from repro.parallel.work import classify_pair_chunk
 from repro.records.dataset import Dataset
 from repro.similarity.features import (
     FeatureVector,
@@ -218,45 +218,29 @@ class PairClassifier:
     ) -> List[Tuple[Pair, float]]:
         """Pairs sorted by descending confidence — the ranked resolution.
 
-        With a parallel ``executor`` the unique pairs are feature-
-        extracted and model-scored in worker chunks; the scores are the
-        same floats the serial loop computes (identical feature and
-        model arithmetic per pair — the batch extractor is value-
-        identical to ``extract_features``), and the final sort imposes
-        the canonical order either way, so output is byte-identical
-        across worker counts and dispatch modes (docs/PARALLELISM.md).
-
-        Shared-state executors get pickle-free ``(token, pairs)``
-        payloads — dataset and model are published once instead of
-        pickled per chunk — and pair lists below the executor's
-        ``min_dispatch_items`` are scored inline with the same batch
-        extractor.
+        Features come from the batch extractor, which is value-identical
+        to ``extract_features`` per pair. With a parallel ``executor``
+        and at least :data:`MIN_DISPATCH_PAIRS` unique pairs, the
+        dataset and model are published once and chunks of
+        ``(handle.ref, pairs)`` are scored by :func:`classify_pair_chunk`
+        in workers. The final sort imposes the canonical order either
+        way, so output is byte-identical across worker counts
+        (docs/PARALLELISM.md).
         """
         with self.tracer.span("classify.rank"):
-            if executor is not None and executor.parallel:
-                unique = sorted(set(pairs))
+            unique = sorted(set(pairs))
+            scored: List[Tuple[Pair, float]] = []
+            if unique:
                 model = self._require_model()
-                if executor.shared_state:
-                    chunk_results = self._rank_chunks_shared(
-                        unique, model, executor
+                if (
+                    executor is not None
+                    and executor.parallel
+                    and len(unique) >= MIN_DISPATCH_PAIRS
+                ):
+                    scored = list(
+                        self._rank_parallel(unique, model, executor).items()
                     )
                 else:
-                    chunk_results = executor.map_chunks(
-                        classify_pair_chunk,
-                        [
-                            (self.dataset, model, self.feature_names, chunk)
-                            for chunk in executor.plan_chunks(unique)
-                        ],
-                        tracer=self.tracer,
-                        label="classify.score_pairs",
-                    )
-                merged = merge_scored_chunks(chunk_results)
-                scored = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-            else:
-                unique = sorted(set(pairs))
-                scored = []
-                if unique:
-                    model = self._require_model()
                     vectors = extract_features_batch(
                         self.dataset, unique, names=self.feature_names
                     )
@@ -268,42 +252,29 @@ class PairClassifier:
         self.tracer.count("classify.pairs_scored", len(scored))
         return scored
 
-    def _rank_chunks_shared(
+    def _rank_parallel(
         self,
         unique: List[Pair],
         model: ADTreeModel,
         executor: Executor,
-    ) -> List[List[Tuple[Pair, float]]]:
-        """Score rank chunks through the pickle-free dispatch path."""
-        if len(unique) < executor.min_dispatch_items:
-            # Dispatch would cost more than the work; same kernels,
-            # in-process, as one "chunk" result.
-            vectors = extract_features_batch(
-                self.dataset, unique, names=self.feature_names
-            )
-            return [
-                [
-                    (pair, model.score(vector))
-                    for pair, vector in zip(unique, vectors)
-                ]
-            ]
+    ) -> Dict[Pair, float]:
+        """Score rank chunks in workers against one publication."""
         with publish_shared_state(
             dataset=self.dataset,
             model=model,
             feature_names=self.feature_names,
         ) as handle:
-            executor.stats.shared_segment_bytes = max(
-                executor.stats.shared_segment_bytes, handle.segment_bytes
-            )
-            return executor.map_chunks(
-                classify_pair_chunk_shared,
-                [
-                    (handle.token, chunk)
-                    for chunk in executor.plan_chunks(unique)
-                ],
-                tracer=self.tracer,
-                label="classify.score_pairs",
-                shared_bytes=handle.baseline_bytes,
+            return merge_scored_chunks(
+                executor.map_chunks(
+                    classify_pair_chunk,
+                    [
+                        (handle.ref, chunk)
+                        for chunk in executor.plan_chunks(unique)
+                    ],
+                    tracer=self.tracer,
+                    label="classify.score_pairs",
+                    shared=handle,
+                )
             )
 
     def filter_matches(

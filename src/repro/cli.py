@@ -199,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--seeds", type=int, default=3,
                           help="number of non-baseline hash seeds "
                                "(default: 3)")
-    sanitize.add_argument("--persons", type=int, default=40)
+    sanitize.add_argument("--persons", type=int, default=None,
+                          help="synthetic-corpus size (default: 40; 120 "
+                               "with --schedule)")
     sanitize.add_argument("--corpus-seed", type=int, default=17)
     sanitize.add_argument("--ng", type=float, default=3.5)
     sanitize.add_argument("--communities", nargs="+", default=["italy"],
@@ -732,11 +734,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     sanitize_argv: List[str] = [
         "--seeds", str(args.seeds),
-        "--persons", str(args.persons),
         "--corpus-seed", str(args.corpus_seed),
         "--ng", str(args.ng),
         "--communities", *args.communities,
     ]
+    if args.persons is not None:
+        sanitize_argv += ["--persons", str(args.persons)]
     if args.no_expert_weighting:
         sanitize_argv.append("--no-expert-weighting")
     if args.workers != 1:

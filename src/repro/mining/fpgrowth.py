@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Collection,
     Dict,
     FrozenSet,
@@ -262,7 +263,15 @@ def _fpmax(
     order: Dict[int, int],
     store: _MFIStore,
     budget: Optional[BudgetMeter] = None,
+    only: Optional[AbstractSet[int]] = None,
 ) -> None:
+    """FPMax recursion; ``only`` restricts the top-level items (a shard).
+
+    ``only`` applies at this depth alone — recursive calls see every
+    item. A single-path tree emits its one candidate only from the
+    shard owning the path's highest id, the shard whose top-level loop
+    would have generated it.
+    """
     if tree.is_empty():
         return
     if budget is not None:
@@ -271,6 +280,8 @@ def _fpmax(
         budget.charge()
     single = tree.single_path()
     if single is not None:
+        if only is not None and single[-1][0] not in only:
+            return
         candidate = frozenset(suffix) | {item for item, _ in single}
         if not store.is_subsumed(candidate):
             support = single[-1][1]
@@ -279,6 +290,8 @@ def _fpmax(
     # Least-frequent items first so long candidates are found early and
     # subsume the rest.
     for item in sorted(tree.items(), reverse=True):
+        if only is not None and item not in only:
+            continue
         support = tree.support_of(item)
         if support < minsup:
             continue
@@ -324,10 +337,10 @@ def _mine_shard(
     """FPMax over the top-level items of one shard (pool-worker body).
 
     Rebuilds the FP-tree from the encoded transactions — cheaper and
-    simpler than pickling a node graph with parent links — then runs the
-    serial top-level loop restricted to the shard's item ids. Module-
-    level and argument-determined, so a chunk computes the same result
-    in a worker, in-process, or in a crash retry.
+    simpler than pickling a node graph with parent links — then runs
+    :func:`_fpmax` restricted to the shard's item ids at the top level.
+    Module-level and argument-determined, so a chunk computes the same
+    result in a worker, in-process, or in a crash retry.
     """
     encoded, minsup, n_items, shard = payload
     tree = FPTree()
@@ -335,26 +348,7 @@ def _mine_shard(
         tree.insert(transaction)
     order = {item: item for item in range(n_items)}
     store = _MFIStore()
-    present = set(tree.items())
-    for item in sorted(shard, reverse=True):
-        if item not in present:
-            continue
-        support = tree.support_of(item)
-        if support < minsup:
-            continue
-        suffix = [item]
-        conditional = FPTree.from_conditional(
-            tree.prefix_paths(item), minsup, order
-        )
-        if conditional.is_empty():
-            candidate = frozenset(suffix)
-            if not store.is_subsumed(candidate):
-                store.add(candidate, support)
-            continue
-        head = frozenset(suffix) | set(conditional.items())
-        if store.is_subsumed(head):
-            continue
-        _fpmax(conditional, suffix, minsup, order, store)
+    _fpmax(tree, [], minsup, order, store, only=frozenset(shard))
     return store.itemsets
 
 

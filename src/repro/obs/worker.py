@@ -31,7 +31,7 @@ boundary:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, cast
 
 from repro.contracts import commutative_merge, deterministic
@@ -91,24 +91,14 @@ class WorkerTracer:
         return Span(cast(Tracer, self), name, attrs)
 
     def count(self, name: str, value: int = 1) -> None:
-        self._emit(
-            {
-                "event": COUNTER,
-                "name": name,
-                "path": "/".join(self._stack),
-                "value": value,
-            }
-        )
+        self._metric(COUNTER, name, value)
 
     def gauge(self, name: str, value: float) -> None:
-        self._emit(
-            {
-                "event": GAUGE,
-                "name": name,
-                "path": "/".join(self._stack),
-                "value": value,
-            }
-        )
+        self._metric(GAUGE, name, value)
+
+    def _metric(self, kind: str, name: str, value: float) -> None:
+        path = "/".join(self._stack)
+        self._emit({"event": kind, "name": name, "path": path, "value": value})
 
     def span_seconds(self, name: str) -> float:
         """Total buffered wall time of closed spans named ``name``."""
@@ -226,23 +216,18 @@ class ChunkProfile:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "chunk": self.chunk,
-            "worker": self.worker,
-            "inline": self.inline,
-            "retried": self.retried,
-            "payload_bytes_in": self.payload_bytes_in,
-            "payload_bytes_out": self.payload_bytes_out,
-            "serialize_seconds": self.serialize_seconds,
-            "deserialize_seconds": self.deserialize_seconds,
-            "compute_seconds": self.compute_seconds,
-            "result_serialize_seconds": self.result_serialize_seconds,
-            "result_deserialize_seconds": self.result_deserialize_seconds,
-            "pickle_seconds": self.pickle_seconds(),
-            "queue_seconds": self.queue_seconds,
-            "round_trip_seconds": self.round_trip_seconds,
-            "tracemalloc_peak_bytes": self.tracemalloc_peak_bytes,
+        """Every field in order, with ``pickle_seconds`` after the four
+        pickle timings it sums (the timeline row's key order)."""
+        row = asdict(self)
+        tail = {
+            key: row.pop(key)
+            for key in (
+                "queue_seconds", "round_trip_seconds", "tracemalloc_peak_bytes"
+            )
         }
+        row["pickle_seconds"] = self.pickle_seconds()
+        row.update(tail)
+        return row
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Deterministic parallel execution for blocking and pairwise scoring.
 
-The layer has four small parts (full design in ``docs/PARALLELISM.md``):
+The layer has five small parts (full design in ``docs/PARALLELISM.md``):
 
 * **chunking** (:mod:`repro.parallel.chunking`) — pure partition
   planners; no element lost, duplicated, or reordered;
@@ -11,7 +11,12 @@ The layer has four small parts (full design in ``docs/PARALLELISM.md``):
 * **merges** (:mod:`repro.parallel.merge`) — order-independent folds of
   chunk results (max per canonical pair key);
 * **work functions** (:mod:`repro.parallel.work`) — module-level,
-  picklable, argument-determined chunk bodies.
+  picklable, argument-determined chunk bodies, one per job, plus the
+  one worker entry :func:`run_chunk` every dispatched chunk runs
+  through;
+* **shared state** (:mod:`repro.parallel.shared`) — read-only objects
+  published once per run and referenced from ``(ref, pairs)``
+  payloads.
 
 Together they make ``repro resolve --workers 4`` byte-identical to
 ``--workers 1`` — determinism by merge, not by schedule — which
@@ -38,13 +43,7 @@ from repro.parallel.shared import (
     shared_state,
     shared_state_supported,
 )
-from repro.parallel.work import (
-    classify_pair_chunk,
-    classify_pair_chunk_shared,
-    run_traced_chunk,
-    score_pair_chunk,
-    score_pair_chunk_shared,
-)
+from repro.parallel.work import classify_pair_chunk, run_chunk, score_pair_chunk
 
 __all__ = [
     "AdversarialScheduleExecutor",
@@ -63,8 +62,6 @@ __all__ = [
     "shared_state",
     "shared_state_supported",
     "classify_pair_chunk",
-    "classify_pair_chunk_shared",
-    "run_traced_chunk",
+    "run_chunk",
     "score_pair_chunk",
-    "score_pair_chunk_shared",
 ]

@@ -16,9 +16,10 @@ while still honoring the ``map_chunks`` contract of returning results
 in submission order. Any state the work functions share in-process is
 therefore exercised under a hostile interleaving, and the schedule
 sanitizer (``repro sanitize --schedule``) asserts ranked output stays
-byte-identical across seeds × worker counts. The permutation is logged
-per dispatch (:attr:`schedule_log`) so tests can prove the adversary
-actually reordered something.
+byte-identical across seeds × worker counts. The permutation and the
+dispatch label are logged per dispatch (:attr:`schedule_log`,
+:attr:`label_log`) so tests — and the sanitizer itself — can prove the
+adversary actually reordered the merges it exists to attack.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.contracts import deterministic
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.executor import ChunkFunc, Executor
+from repro.parallel.shared import SharedStateHandle
 
 __all__ = ["AdversarialScheduleExecutor"]
 
@@ -48,11 +50,6 @@ class AdversarialScheduleExecutor(Executor):
 
     name = "adversarial-schedule"
 
-    #: Chunks run in-process, where the shared-state registry is simply
-    #: the parent's — so the hostile schedule also exercises the
-    #: pickle-free dispatch path the real pool uses.
-    shared_state = True
-
     def __init__(
         self,
         workers: int,
@@ -63,6 +60,8 @@ class AdversarialScheduleExecutor(Executor):
         self.schedule_seed = schedule_seed
         #: One entry per dispatch: the execution-order permutation used.
         self.schedule_log: List[List[int]] = []
+        #: One entry per dispatch: its ``label`` (parallel to the above).
+        self.label_log: List[str] = []
 
     def to_echo(self) -> Dict[str, Any]:
         """Report echo with the schedule seed, so a sanitize run's
@@ -83,7 +82,7 @@ class AdversarialScheduleExecutor(Executor):
         payloads: Sequence[Any],
         tracer: Optional[Tracer] = None,
         label: str = "parallel.map",
-        shared_bytes: Optional[int] = None,
+        shared: Optional[SharedStateHandle] = None,
     ) -> List[Any]:
         tracer = tracer if tracer is not None else NULL_TRACER
         stats = self.stats
@@ -92,9 +91,7 @@ class AdversarialScheduleExecutor(Executor):
         work = list(payloads)
         stats.chunks += len(work)
         stats.inline_chunks += len(work)
-        if shared_bytes is not None:
-            stats.shared_dispatches += 1
-            stats.bytes_not_pickled += shared_bytes * len(work)
+        self.label_log.append(label)
         if not work:
             self.schedule_log.append([])
             return []
@@ -106,6 +103,7 @@ class AdversarialScheduleExecutor(Executor):
         )
         rng.shuffle(order)
         self.schedule_log.append(list(order))
+        self._count_shared(shared, len(work))
         results = {}
         with tracer.span(label, executor=self.name, chunks=len(work)):
             for index in order:

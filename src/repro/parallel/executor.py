@@ -18,6 +18,13 @@ Under those four rules a run with ``--workers 4`` is byte-identical to
 ``--workers 1``, which is what the parity harness in
 ``tests/test_parallel.py`` pins.
 
+Every chunk takes one route: the parent pickles the payload, the
+worker entry :func:`~repro.parallel.work.run_chunk` unpickles it,
+computes, and pickles the result, and the parent unpickles that. A
+chunk run inline (the only chunk of a dispatch) or retried in-process
+goes through the same entry. Tracing adds worker-side spans and
+parent-side time stamps; it never changes the route.
+
 Resilience: a :class:`~repro.resilience.faults.WorkerCrashPlan` can kill
 one worker mid-chunk (the ``repro chaos`` ``worker-crash`` scenario). A
 broken pool loses the results of every unfinished chunk; the executor
@@ -40,7 +47,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.contracts import deterministic, impure
@@ -53,8 +60,8 @@ from repro.obs.worker import (
     merge_worker_events,
 )
 from repro.parallel.chunking import fixed_chunks, partition_evenly
-from repro.parallel.shared import shared_generation, shared_state_supported
-from repro.parallel.work import run_traced_chunk
+from repro.parallel.shared import SharedStateHandle, shared_generation, worker_context
+from repro.parallel.work import ChunkTask, run_chunk
 from repro.resilience.faults import (
     WorkerCrashPlan,
     WorkerHangPlan,
@@ -63,6 +70,7 @@ from repro.resilience.faults import (
 )
 
 __all__ = [
+    "MIN_DISPATCH_PAIRS",
     "ExecutorStats",
     "Executor",
     "SerialExecutor",
@@ -74,6 +82,11 @@ T = TypeVar("T")
 
 #: A chunk work function: module-level, picklable, argument-determined.
 ChunkFunc = Callable[[Any], Any]
+
+#: Pair lists shorter than this are scored inline with the batch
+#: kernels instead of paying dispatch. Results are identical either
+#: way; this only moves where the work runs.
+MIN_DISPATCH_PAIRS = 512
 
 
 @dataclass
@@ -99,20 +112,8 @@ class ExecutorStats:
     pools_created: int = 0
 
     def to_echo(self) -> Dict[str, int]:
-        return {
-            "map_calls": self.map_calls,
-            "chunks": self.chunks,
-            "worker_chunks": self.worker_chunks,
-            "inline_chunks": self.inline_chunks,
-            "worker_retries": self.worker_retries,
-            "kills_armed": self.kills_armed,
-            "hangs_armed": self.hangs_armed,
-            "chunks_timed_out": self.chunks_timed_out,
-            "shared_dispatches": self.shared_dispatches,
-            "bytes_not_pickled": self.bytes_not_pickled,
-            "shared_segment_bytes": self.shared_segment_bytes,
-            "pools_created": self.pools_created,
-        }
+        """Every counter, in field order (the report key order)."""
+        return asdict(self)
 
 
 class Executor(abc.ABC):
@@ -124,17 +125,6 @@ class Executor(abc.ABC):
     """
 
     name: str = "executor"
-
-    #: Whether callers should use pickle-free shared-state payloads
-    #: (``repro.parallel.shared``) with this executor. Subclasses that
-    #: run chunks in-process (or fork workers) may enable it.
-    shared_state: bool = False
-
-    #: Below this many work items a shared-capable caller should score
-    #: inline with the batch kernels instead of paying dispatch; 0
-    #: means "always dispatch". Advisory — results are identical either
-    #: way, this only moves where the chunk runs.
-    min_dispatch_items: int = 0
 
     def __init__(self, workers: int, chunk_size: Optional[int] = None) -> None:
         if workers < 1:
@@ -182,6 +172,23 @@ class Executor(abc.ABC):
         """
         return {}
 
+    def _count_shared(
+        self, shared: Optional[SharedStateHandle], chunks: int
+    ) -> None:
+        """Account a dispatch whose payloads carry ``shared.ref``.
+
+        Only registry-token publications count: a mapping ``ref``
+        travels pickled in every payload, so nothing was saved.
+        """
+        if shared is None or not shared.shared:
+            return
+        stats = self.stats
+        stats.shared_dispatches += 1
+        stats.bytes_not_pickled += shared.baseline_bytes * chunks
+        stats.shared_segment_bytes = max(
+            stats.shared_segment_bytes, shared.segment_bytes
+        )
+
     @abc.abstractmethod
     def map_chunks(
         self,
@@ -189,14 +196,14 @@ class Executor(abc.ABC):
         payloads: Sequence[Any],
         tracer: Optional[Tracer] = None,
         label: str = "parallel.map",
-        shared_bytes: Optional[int] = None,
+        shared: Optional[SharedStateHandle] = None,
     ) -> List[Any]:
         """Apply ``func`` to every payload; results in submission order.
 
-        ``shared_bytes`` is set by shared-state dispatches: the pickled
-        size of the published objects each payload *omits*. Executors
-        use it only for ``bytes_not_pickled`` accounting — it never
-        influences execution.
+        ``shared`` is the publication the payloads reference, if any.
+        Executors use it only for the ``shared_dispatches``,
+        ``bytes_not_pickled`` and ``shared_segment_bytes`` stats — it
+        never influences execution.
         """
 
 
@@ -215,7 +222,7 @@ class SerialExecutor(Executor):
         payloads: Sequence[Any],
         tracer: Optional[Tracer] = None,
         label: str = "parallel.map",
-        shared_bytes: Optional[int] = None,
+        shared: Optional[SharedStateHandle] = None,
     ) -> List[Any]:
         tracer = tracer if tracer is not None else NULL_TRACER
         stats = self.stats
@@ -231,17 +238,15 @@ class MultiprocessExecutor(Executor):
 
     Chunk *results* are collected in submission order, so completion
     order — the one thing the OS scheduler controls — never reaches a
-    caller. With a disabled tracer (the default) workers run the bare
-    chunk function and one ``label`` span worth of stats is all the
-    parent records. With tracing enabled the dispatch goes through
-    :meth:`_map_chunks_traced`: each chunk runs under a
+    caller. Every chunk runs through :func:`~repro.parallel.work.
+    run_chunk` on explicitly pickled payloads, traced or not. With
+    tracing enabled each chunk also runs under a
     :class:`~repro.obs.worker.WorkerTracer` whose buffered events ship
     back with the result and merge into the parent trace keyed by chunk
     index, while the executor's :class:`~repro.obs.worker.
     ParallelProfile` ledger records per-chunk pickle bytes/time, queue
     wait vs compute, and (with ``profile_memory``) tracemalloc peaks.
-    Both paths run the same module-level chunk function on the same
-    payloads, so traced output is byte-identical to untraced
+    Traced output is byte-identical to untraced
     (``tests/test_worker_trace.py``).
 
     ``worker_fault`` is the chaos hook: when the targeted chunk comes
@@ -263,10 +268,6 @@ class MultiprocessExecutor(Executor):
 
     name = "multiprocess"
 
-    #: Workers are forked, so they inherit the shared-state registry;
-    #: callers should prefer pickle-free payloads when supported.
-    shared_state = True
-
     def __init__(
         self,
         workers: int,
@@ -275,25 +276,15 @@ class MultiprocessExecutor(Executor):
         profile_memory: bool = False,
         timeout: Optional[float] = None,
         worker_hang: Optional[WorkerHangPlan] = None,
-        shared_state: Optional[bool] = None,
-        min_dispatch_items: int = 512,
     ) -> None:
         super().__init__(workers, chunk_size)
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
-        if min_dispatch_items < 0:
-            raise ValueError(
-                f"min_dispatch_items must be >= 0, got {min_dispatch_items}"
-            )
         self.worker_fault = worker_fault
         self.worker_hang = worker_hang
         self.timeout = timeout
         self.profile_memory = profile_memory
         self.profile = ParallelProfile()
-        if shared_state is not None:
-            self.shared_state = shared_state
-        self.shared_state = self.shared_state and shared_state_supported()
-        self.min_dispatch_items = min_dispatch_items
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = -1
         self._pool_finalizer: Optional[weakref.finalize] = None
@@ -305,7 +296,7 @@ class MultiprocessExecutor(Executor):
         it forked under is current — workers inherit the registry at
         fork, so a publish/close after the fork makes their snapshot
         stale. Faulted or timed-out pools are discarded by the dispatch
-        paths. The pool is always ``self.workers`` wide (workers spawn
+        loop. The pool is always ``self.workers`` wide (workers spawn
         lazily, so an undersized dispatch never pays for idle slots).
         """
         generation = shared_generation()
@@ -313,7 +304,9 @@ class MultiprocessExecutor(Executor):
         if pool is not None and self._pool_generation == generation:
             return pool
         self._discard_pool(wait=True)
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=worker_context()
+        )
         self._pool = pool
         self._pool_generation = generation
         # GC safety net: an executor dropped without close() must not
@@ -339,9 +332,28 @@ class MultiprocessExecutor(Executor):
     def close(self) -> None:
         self._discard_pool(wait=True)
 
+    def _submit(
+        self,
+        pool: ProcessPoolExecutor,
+        call_index: int,
+        index: int,
+        task: ChunkTask,
+    ) -> "Future[Any]":
+        """Submit one chunk, or the fault the chaos plans put in its place."""
+        fault = self.worker_fault
+        hang = self.worker_hang
+        if fault is not None and fault.should_kill(call_index, index):
+            self.stats.kills_armed += 1
+            return pool.submit(kill_current_worker)
+        if hang is not None and hang.should_hang(call_index, index):
+            self.stats.hangs_armed += 1
+            return pool.submit(hang_worker, hang.seconds)
+        return pool.submit(run_chunk, task)
+
     @impure(
         reason="spawns OS worker processes whose completion order is "
-               "scheduler-dependent; callers restore determinism by "
+               "scheduler-dependent, and when traced measures queue wait "
+               "and worker pids; callers restore determinism by "
                "collecting in submission order and merging order-"
                "independently (docs/PARALLELISM.md)"
     )
@@ -351,144 +363,36 @@ class MultiprocessExecutor(Executor):
         payloads: Sequence[Any],
         tracer: Optional[Tracer] = None,
         label: str = "parallel.map",
-        shared_bytes: Optional[int] = None,
+        shared: Optional[SharedStateHandle] = None,
     ) -> List[Any]:
+        """The one dispatch loop: pickle, submit, collect, retry, unpickle.
+
+        With tracing enabled the loop also stamps parent-side times and
+        records a :class:`DispatchProfile`: its buckets (serialize/
+        submit/collect/teardown/retry/deserialize/merge) partition the
+        dispatch span's wall time, which is what keeps
+        ``accounted_fraction`` >= 0.9. Untraced, every stamp reads 0.
+        """
         tracer = tracer if tracer is not None else NULL_TRACER
         stats = self.stats
         call_index = stats.map_calls
         stats.map_calls += 1
         work = list(payloads)
-        stats.chunks += len(work)
+        count = len(work)
+        stats.chunks += count
         if not work:
             return []
-        if shared_bytes is not None:
-            stats.shared_dispatches += 1
-            stats.bytes_not_pickled += shared_bytes * len(work)
-        if tracer.enabled:
-            return self._map_chunks_traced(
-                func, work, tracer, label, call_index
-            )
-        if (
-            len(work) == 1
-            and self.worker_fault is None
-            and self.worker_hang is None
-        ):
-            # One chunk gains nothing from a pool; skip the process cost.
-            stats.inline_chunks += 1
-            with tracer.span(label, executor=self.name, chunks=1):
-                return [func(work[0])]
-
-        results: Dict[int, Any] = {}
-        failed: List[int] = []
-        timed_out: List[int] = []
-        with tracer.span(label, executor=self.name, chunks=len(work)):
-            pool = self._ensure_pool()
-            try:
-                futures: List["Future[Any]"] = []
-                try:
-                    for index, payload in enumerate(work):
-                        fault = self.worker_fault
-                        hang = self.worker_hang
-                        if fault is not None and fault.should_kill(
-                            call_index, index
-                        ):
-                            stats.kills_armed += 1
-                            futures.append(pool.submit(kill_current_worker))
-                        elif hang is not None and hang.should_hang(
-                            call_index, index
-                        ):
-                            stats.hangs_armed += 1
-                            futures.append(
-                                pool.submit(hang_worker, hang.seconds)
-                            )
-                        else:
-                            futures.append(pool.submit(func, payload))
-                except BrokenProcessPool:
-                    # A warm worker died while chunks were still being
-                    # submitted; everything unsubmitted is lost and
-                    # recomputed below, like any other broken-pool loss.
-                    pass
-                for index in range(len(work)):
-                    if index >= len(futures):
-                        failed.append(index)
-                        continue
-                    try:
-                        if self.timeout is not None:
-                            results[index] = futures[index].result(
-                                timeout=self.timeout
-                            )
-                        else:
-                            results[index] = futures[index].result()
-                    except BrokenProcessPool:
-                        # The worker died before returning this chunk;
-                        # remember it and recompute below. Anything
-                        # else (a real exception raised by ``func``)
-                        # propagates unchanged.
-                        failed.append(index)
-                    except FuturesTimeout:
-                        # The worker is wedged, not dead: same lost-
-                        # chunk treatment, but the pool must not be
-                        # waited on at shutdown.
-                        timed_out.append(index)
-                        futures[index].cancel()
-            finally:
-                # A clean dispatch keeps the pool warm for the next
-                # call. A broken pool is useless and a hung worker
-                # must never park shutdown — discard without waiting
-                # (not-yet-started futures are cancelled).
-                if failed or timed_out:
-                    self._discard_pool(wait=False)
-            lost = sorted(failed + timed_out)
-            stats.worker_chunks += len(work) - len(lost)
-            for index in lost:
-                # Deterministic retry: the same func + payload yields
-                # the same result the worker would have produced.
-                results[index] = func(work[index])
-                stats.worker_retries += 1
-            stats.chunks_timed_out += len(timed_out)
-            tracer.count("parallel.chunks", len(work))
-            if lost:
-                tracer.count("parallel.worker_retries", len(lost))
-            if timed_out:
-                tracer.count("parallel.chunks_timed_out", len(timed_out))
-        return [results[index] for index in range(len(work))]
-
-    @impure(
-        reason="measures scheduler-dependent queue wait and worker pids; "
-               "chunk results and merged trace content stay schedule-"
-               "independent (submission-order collection, chunk-index-"
-               "keyed trace merge)"
-    )
-    def _map_chunks_traced(
-        self,
-        func: ChunkFunc,
-        work: List[Any],
-        tracer: Tracer,
-        label: str,
-        call_index: int,
-    ) -> List[Any]:
-        """Traced dispatch: explicit pickling + worker-trace round trip.
-
-        The parent pickles payloads itself — instead of letting the
-        pool do it invisibly — so payload bytes and serialize time are
-        measurable; workers run :func:`run_traced_chunk`, which ships
-        back ``(result pickle, trace buffer)``; the parent unpickles
-        results (measured), derives per-chunk queue wait from done-
-        callback completion stamps, merges worker events keyed by chunk
-        index, and records a :class:`DispatchProfile`. The parent-side
-        buckets (serialize/submit/collect/teardown/retry/deserialize/
-        merge) partition the dispatch span's wall time, which is what
-        keeps ``accounted_fraction`` >= 0.9.
-        """
+        self._count_shared(shared, count)
+        traced = tracer.enabled
         clock = tracer.clock
-        stats = self.stats
-        count = len(work)
+        now = clock.now if traced else _unstamped
+        profile_memory = traced and self.profile_memory
         inline = (
             count == 1
             and self.worker_fault is None
             and self.worker_hang is None
         )
-        wrapped: Dict[int, Tuple[bytes, Dict[str, Any]]] = {}
+        outputs: Dict[int, Tuple[bytes, Optional[Dict[str, Any]]]] = {}
         submitted_at: List[float] = [0.0] * count
         completed_at: Dict[int, float] = {}
         failed: List[int] = []
@@ -497,183 +401,160 @@ class MultiprocessExecutor(Executor):
         submit_seconds = collect_seconds = 0.0
         teardown_seconds = retry_seconds = 0.0
         with tracer.span(label, executor=self.name, chunks=count):
-            wall_start = clock.now()
-            chunk_serialize: List[float] = []
+            wall_start = now()
+            serialize: List[float] = []
             blobs: List[bytes] = []
             for payload in work:
-                t0 = clock.now()
+                t0 = now()
                 blobs.append(
                     pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                 )
-                chunk_serialize.append(clock.now() - t0)
+                serialize.append(now() - t0)
+            tasks: List[ChunkTask] = [
+                (func, index, blob, traced, profile_memory)
+                for index, blob in enumerate(blobs)
+            ]
             if inline:
+                # One chunk gains nothing from a pool; skip the process
+                # cost but keep the route.
                 stats.inline_chunks += 1
-                submitted_at[0] = clock.now()
-                wrapped[0] = run_traced_chunk(
-                    (func, 0, blobs[0], self.profile_memory)
-                )
-                completed_at[0] = clock.now()
+                submitted_at[0] = now()
+                outputs[0] = run_chunk(tasks[0])
+                completed_at[0] = now()
                 collect_seconds = completed_at[0] - submitted_at[0]
             else:
                 pool = self._ensure_pool()
                 try:
-                    t0 = clock.now()
+                    t0 = now()
                     futures: List["Future[Any]"] = []
                     try:
-                        for index, blob in enumerate(blobs):
-                            fault = self.worker_fault
-                            hang = self.worker_hang
-                            submitted_at[index] = clock.now()
-                            if fault is not None and fault.should_kill(
-                                call_index, index
-                            ):
-                                stats.kills_armed += 1
-                                future = pool.submit(kill_current_worker)
-                            elif hang is not None and hang.should_hang(
-                                call_index, index
-                            ):
-                                stats.hangs_armed += 1
-                                future = pool.submit(hang_worker, hang.seconds)
-                            else:
-                                future = pool.submit(
-                                    run_traced_chunk,
-                                    (func, index, blob, self.profile_memory),
-                                )
-                            future.add_done_callback(
-                                _completion_marker(completed_at, index, clock)
+                        for index, task in enumerate(tasks):
+                            submitted_at[index] = now()
+                            future = self._submit(
+                                pool, call_index, index, task
                             )
+                            if traced:
+                                future.add_done_callback(
+                                    _completion_marker(
+                                        completed_at, index, clock
+                                    )
+                                )
                             futures.append(future)
                     except BrokenProcessPool:
-                        # A warm worker died mid-submission; everything
-                        # unsubmitted is lost and recomputed below.
+                        # A warm worker died while chunks were still
+                        # being submitted; everything unsubmitted is lost
+                        # and recomputed below, like any other loss.
                         pass
-                    submit_seconds = clock.now() - t0
+                    submit_seconds = now() - t0
                     for index in range(count):
                         if index >= len(futures):
                             failed.append(index)
                             continue
-                        t0 = clock.now()
+                        t0 = now()
                         try:
-                            if self.timeout is not None:
-                                wrapped[index] = futures[index].result(
-                                    timeout=self.timeout
-                                )
-                            else:
-                                wrapped[index] = futures[index].result()
+                            outputs[index] = futures[index].result(
+                                timeout=self.timeout
+                            )
                         except BrokenProcessPool:
-                            # Same contract as the untraced path: only
-                            # a dead worker is retried; real exceptions
-                            # from ``func`` propagate unchanged.
+                            # The worker died before returning this
+                            # chunk; recompute below. Anything else (a
+                            # real exception raised by ``func``)
+                            # propagates unchanged.
                             failed.append(index)
                         except FuturesTimeout:
-                            # Wedged worker: lost-chunk treatment, and
-                            # shutdown must not wait for it below.
+                            # The worker is wedged, not dead: same lost-
+                            # chunk treatment, but the pool must not be
+                            # waited on at shutdown.
                             timed_out.append(index)
                             futures[index].cancel()
-                        collect_seconds += clock.now() - t0
+                        collect_seconds += now() - t0
                 finally:
-                    t0 = clock.now()
-                    # Same retention policy as the untraced path: keep
-                    # the pool warm unless this dispatch broke it.
+                    t0 = now()
+                    # A clean dispatch keeps the pool warm for the next
+                    # call. A broken pool is useless and a hung worker
+                    # must never park shutdown — discard without waiting
+                    # (not-yet-started futures are cancelled).
                     if failed or timed_out:
                         self._discard_pool(wait=False)
-                    teardown_seconds = clock.now() - t0
+                    teardown_seconds = now() - t0
                 lost = sorted(failed + timed_out)
                 stats.worker_chunks += count - len(lost)
-                t0 = clock.now()
+                t0 = now()
                 for index in lost:
-                    # Deterministic retry, still traced: the in-process
-                    # rerun produces the same result bytes and a trace
-                    # attributed to the parent pid.
-                    wrapped[index] = run_traced_chunk(
-                        (func, index, blobs[index], self.profile_memory)
-                    )
-                    completed_at[index] = clock.now()
+                    # Deterministic retry: the same task yields the same
+                    # result bytes the worker would have produced (its
+                    # trace is attributed to the parent pid).
+                    outputs[index] = run_chunk(tasks[index])
+                    completed_at[index] = now()
                     stats.worker_retries += 1
                 stats.chunks_timed_out += len(timed_out)
-                retry_seconds = clock.now() - t0
+                retry_seconds = now() - t0
 
-            deserialize_seconds = 0.0
             results: List[Any] = []
-            profiles: List[ChunkProfile] = []
-            traces: List[Dict[str, Any]] = []
+            deserialize: List[float] = []
             for index in range(count):
-                result_blob, trace = wrapped[index]
-                t0 = clock.now()
-                results.append(pickle.loads(result_blob))
-                result_deserialize = clock.now() - t0
-                deserialize_seconds += result_deserialize
-                traces.append(trace)
-                done = completed_at.get(index, submitted_at[index])
-                round_trip = max(0.0, done - submitted_at[index])
-                worker_seconds = float(trace.get("worker_seconds", 0.0))
-                peak = trace.get("tracemalloc_peak_bytes")
-                profiles.append(
-                    ChunkProfile(
-                        chunk=index,
-                        worker=int(trace.get("pid", 0)),
-                        inline=inline,
-                        retried=index in lost,
-                        payload_bytes_in=len(blobs[index]),
-                        payload_bytes_out=len(result_blob),
-                        serialize_seconds=chunk_serialize[index],
-                        deserialize_seconds=float(
-                            trace.get("deserialize_seconds", 0.0)
-                        ),
-                        compute_seconds=float(
-                            trace.get("compute_seconds", 0.0)
-                        ),
-                        result_serialize_seconds=float(
-                            trace.get("serialize_seconds", 0.0)
-                        ),
-                        result_deserialize_seconds=result_deserialize,
-                        queue_seconds=max(0.0, round_trip - worker_seconds),
-                        round_trip_seconds=round_trip,
-                        tracemalloc_peak_bytes=(
-                            int(peak) if peak is not None else None
-                        ),
-                    )
-                )
-            t0 = clock.now()
-            merge_worker_events(tracer, traces)
-            merge_seconds = clock.now() - t0
+                t0 = now()
+                results.append(pickle.loads(outputs[index][0]))
+                deserialize.append(now() - t0)
             tracer.count("parallel.chunks", count)
-            tracer.count(
-                "parallel.payload_bytes_in", sum(len(b) for b in blobs)
-            )
-            tracer.count(
-                "parallel.payload_bytes_out",
-                sum(p.payload_bytes_out for p in profiles),
-            )
             if lost:
                 tracer.count("parallel.worker_retries", len(lost))
             if timed_out:
                 tracer.count("parallel.chunks_timed_out", len(timed_out))
-            peaks = [
-                p.tracemalloc_peak_bytes
-                for p in profiles
-                if p.tracemalloc_peak_bytes is not None
-            ]
-            if peaks:
-                tracer.gauge(
-                    "parallel.tracemalloc_peak_bytes", float(max(peaks))
+            if traced:
+                traces = [outputs[index][1] or {} for index in range(count)]
+                t0 = now()
+                merge_worker_events(tracer, traces)
+                merge_seconds = now() - t0
+                profiles = [
+                    _chunk_profile(
+                        index,
+                        trace,
+                        inline=inline,
+                        retried=index in lost,
+                        bytes_in=len(blobs[index]),
+                        bytes_out=len(outputs[index][0]),
+                        serialize_seconds=serialize[index],
+                        deserialize_seconds=deserialize[index],
+                        round_trip_seconds=max(
+                            0.0,
+                            completed_at.get(index, submitted_at[index])
+                            - submitted_at[index],
+                        ),
+                    )
+                    for index, trace in enumerate(traces)
+                ]
+                tracer.count(
+                    "parallel.payload_bytes_in", sum(len(b) for b in blobs)
                 )
-            wall_seconds = clock.now() - wall_start
-        self.profile.add(
-            DispatchProfile(
-                label=label,
-                map_call=call_index,
-                wall_seconds=wall_seconds,
-                serialize_seconds=sum(chunk_serialize),
-                submit_seconds=submit_seconds,
-                collect_seconds=collect_seconds,
-                teardown_seconds=teardown_seconds,
-                retry_seconds=retry_seconds,
-                deserialize_seconds=deserialize_seconds,
-                merge_seconds=merge_seconds,
-                chunks=profiles,
-            )
-        )
+                tracer.count(
+                    "parallel.payload_bytes_out",
+                    sum(p.payload_bytes_out for p in profiles),
+                )
+                peaks = [
+                    p.tracemalloc_peak_bytes
+                    for p in profiles
+                    if p.tracemalloc_peak_bytes is not None
+                ]
+                if peaks:
+                    tracer.gauge(
+                        "parallel.tracemalloc_peak_bytes", float(max(peaks))
+                    )
+                self.profile.add(
+                    DispatchProfile(
+                        label=label,
+                        map_call=call_index,
+                        wall_seconds=now() - wall_start,
+                        serialize_seconds=sum(serialize),
+                        submit_seconds=submit_seconds,
+                        collect_seconds=collect_seconds,
+                        teardown_seconds=teardown_seconds,
+                        retry_seconds=retry_seconds,
+                        deserialize_seconds=sum(deserialize),
+                        merge_seconds=merge_seconds,
+                        chunks=profiles,
+                    )
+                )
         return results
 
     def profile_echo(self) -> Dict[str, Any]:
@@ -693,6 +574,44 @@ def _abandon_pool(pool: ProcessPoolExecutor) -> None:
     shutdown sentinel.
     """
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _unstamped() -> float:
+    """The untraced loop's clock: every stamp reads 0."""
+    return 0.0
+
+
+def _chunk_profile(
+    index: int,
+    trace: Dict[str, Any],
+    *,
+    inline: bool,
+    retried: bool,
+    bytes_in: int,
+    bytes_out: int,
+    serialize_seconds: float,
+    deserialize_seconds: float,
+    round_trip_seconds: float,
+) -> ChunkProfile:
+    """One chunk's overhead row from parent stamps + its worker trace."""
+    worker_seconds = float(trace.get("worker_seconds", 0.0))
+    peak = trace.get("tracemalloc_peak_bytes")
+    return ChunkProfile(
+        chunk=index,
+        worker=int(trace.get("pid", 0)),
+        inline=inline,
+        retried=retried,
+        payload_bytes_in=bytes_in,
+        payload_bytes_out=bytes_out,
+        serialize_seconds=serialize_seconds,
+        deserialize_seconds=float(trace.get("deserialize_seconds", 0.0)),
+        compute_seconds=float(trace.get("compute_seconds", 0.0)),
+        result_serialize_seconds=float(trace.get("serialize_seconds", 0.0)),
+        result_deserialize_seconds=deserialize_seconds,
+        queue_seconds=max(0.0, round_trip_seconds - worker_seconds),
+        round_trip_seconds=round_trip_seconds,
+        tracemalloc_peak_bytes=int(peak) if peak is not None else None,
+    )
 
 
 def _completion_marker(
@@ -718,8 +637,6 @@ def make_executor(
     chunk_size: Optional[int] = None,
     profile_memory: bool = False,
     timeout: Optional[float] = None,
-    shared_state: Optional[bool] = None,
-    min_dispatch_items: int = 512,
 ) -> Executor:
     """The executor for a ``--workers N`` request (serial when N <= 1)."""
     if workers <= 1:
@@ -729,6 +646,4 @@ def make_executor(
         chunk_size=chunk_size,
         profile_memory=profile_memory,
         timeout=timeout,
-        shared_state=shared_state,
-        min_dispatch_items=min_dispatch_items,
     )

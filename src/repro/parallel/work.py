@@ -1,13 +1,22 @@
-"""Picklable chunk-work functions executed inside pool workers.
+"""Chunk work functions and the one worker entry that runs them.
 
-A worker process shares nothing with the parent but the pickled
-payload: no tracer, no caches, no ambient state. Each function here is
-therefore a pure function of its payload — the property that makes a
-chunk's result identical whether it runs in a worker, in-process on the
-serial path, or in a deterministic retry after a worker crash
-(``docs/PARALLELISM.md``). Payloads carry everything the computation
-needs (scorer/model plus just the item bags or records the chunk's
-pairs touch), keeping pickling cost proportional to the chunk.
+Every chunk :class:`~repro.parallel.executor.MultiprocessExecutor`
+dispatches — to a pool worker, inline as the only chunk, or as an
+in-process retry after a crash or timeout — runs through
+:func:`run_chunk`: the parent pickles the payload, ``run_chunk``
+unpickles it, calls the work function, and pickles the result for the
+parent to unpickle. Tracing only adds a :class:`WorkerTracer` around
+those steps; the route is the same.
+
+A worker shares nothing with the parent but the pickled payload and,
+on fork, the shared-state registry it inherited: no tracer, no caches,
+no ambient state. Each work function is therefore argument-determined
+— the property that makes a chunk's result identical wherever it runs
+(``docs/PARALLELISM.md``). The pair-scoring functions take a
+``(ref, pairs)`` payload: ``ref`` resolves through
+:func:`~repro.parallel.shared.shared_state` to the published scorer and
+corpus (or dataset, model and feature names), and scoring runs on the
+batch kernels.
 """
 
 from __future__ import annotations
@@ -19,19 +28,14 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Tuple,
+    Union,
 )
 
-from repro.contracts import (
-    fork_safe,
-    impure,
-    picklable_work,
-    pure,
-    shared_readonly,
-)
+from repro.contracts import fork_safe, impure, picklable_work, shared_readonly
+from repro.obs.tracer import Tracer
 from repro.obs.worker import (
     WORKER_CHUNK_SPAN,
     WORKER_COMPUTE_SPAN,
@@ -39,114 +43,63 @@ from repro.obs.worker import (
     WORKER_SERIALIZE_SPAN,
     WorkerTracer,
 )
-from repro.parallel.shared import shared_state
-from repro.similarity.features import extract_features, extract_features_batch
+from repro.parallel.shared import SharedRef, shared_state
+from repro.similarity.features import extract_features_batch
 
 if TYPE_CHECKING:
     from repro.blocking.scoring import BlockScorer
     from repro.classify.adtree import ADTreeModel
     from repro.records.dataset import Dataset
-    from repro.records.itembag import Item
     from repro.similarity.interning import InternedCorpus
 
 __all__ = [
     "score_pair_chunk",
-    "score_pair_chunk_shared",
     "classify_pair_chunk",
-    "classify_pair_chunk_shared",
-    "run_traced_chunk",
+    "run_chunk",
 ]
 
 Pair = Tuple[int, int]
 
-#: (chunk function, chunk index, pickled chunk payload, profile memory?)
-TracedChunk = Tuple[Callable[[Any], Any], int, bytes, bool]
+#: (work function, chunk index, pickled chunk payload, trace?,
+#: profile memory?)
+ChunkTask = Tuple[Callable[[Any], Any], int, bytes, bool, bool]
 
-#: (scorer, item bags restricted to the chunk's records, pairs to score)
-ScoreChunk = Tuple["BlockScorer", Dict[int, FrozenSet["Item"]], List[Pair]]
-
-#: (dataset, trained model, feature-name subset, pairs to score)
-ClassifyChunk = Tuple[
-    "Dataset", "ADTreeModel", Optional[Tuple[str, ...]], List[Pair]
-]
-
-#: (published shared-state token, pairs to score) — the pickle-free
-#: payload shape; everything heavy lives behind the token.
-SharedPairChunk = Tuple[str, List[Pair]]
-
-
-@picklable_work
-@fork_safe
-@pure
-def score_pair_chunk(payload: ScoreChunk) -> List[Tuple[Pair, float]]:
-    """Blocking pair similarity for one chunk of candidate pairs.
-
-    The same ``BlockScorer.pair_similarity`` call the serial path makes,
-    so the floats are bit-identical.
-    """
-    scorer, item_bags, pairs = payload
-    return [
-        (pair, scorer.pair_similarity(item_bags[pair[0]], item_bags[pair[1]]))
-        for pair in pairs
-    ]
+#: (published shared-state ref, pairs to score).
+PairChunk = Tuple[SharedRef, List[Pair]]
 
 
 @picklable_work
 @fork_safe
 @shared_readonly
-def score_pair_chunk_shared(
-    payload: SharedPairChunk,
-) -> List[Tuple[Pair, float]]:
-    """Pickle-free variant of :func:`score_pair_chunk`.
+def score_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
+    """Blocking pair similarity for one chunk of candidate pairs.
 
-    The payload carries only a token and the chunk's pairs; the scorer
-    and the interned corpus come from the fork-inherited shared-state
-    registry (:mod:`repro.parallel.shared`), which workers read but
-    never write. Scoring runs through the batch kernels, which are
-    bit-identical to the scalar ``pair_similarity`` per pair — so the
-    result matches :func:`score_pair_chunk` byte for byte.
+    The scorer and the interned corpus come from the published shared
+    state. The batch kernels are bit-identical to the scalar
+    ``BlockScorer.pair_similarity`` per pair, so the floats match the
+    serial path's exactly.
     """
-    token, pairs = payload
-    state = shared_state(token)
+    ref, pairs = payload
+    state = shared_state(ref)
     scorer: "BlockScorer" = state["scorer"]
     corpus: "InternedCorpus" = state["corpus"]
     scores = scorer.pair_similarity_batch(corpus, pairs)
-    return [(pair, score) for pair, score in zip(pairs, scores)]
-
-
-@picklable_work
-@fork_safe
-@pure
-def classify_pair_chunk(payload: ClassifyChunk) -> List[Tuple[Pair, float]]:
-    """ADTree confidences for one chunk of candidate pairs.
-
-    Mirrors ``PairClassifier.score_pair`` without the classifier wrapper
-    (whose tracer must not cross the process boundary): extract the
-    pair's features, score them with the trained model.
-    """
-    dataset, model, feature_names, pairs = payload
-    scored: List[Tuple[Pair, float]] = []
-    for a, b in pairs:
-        vector = extract_features(dataset[a], dataset[b], names=feature_names)
-        scored.append(((a, b), model.score(vector)))
-    return scored
+    return list(zip(pairs, scores))
 
 
 @picklable_work
 @fork_safe
 @shared_readonly
-def classify_pair_chunk_shared(
-    payload: SharedPairChunk,
-) -> List[Tuple[Pair, float]]:
-    """Pickle-free variant of :func:`classify_pair_chunk`.
+def classify_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
+    """ADTree confidences for one chunk of candidate pairs.
 
-    Dataset, model and feature-name subset resolve through the shared-
-    state registry; feature vectors come from the batch extractor,
-    which is value-identical to ``extract_features`` per pair, so the
-    confidences match the legacy chunk function exactly.
+    Dataset, model and feature-name subset come from the published
+    shared state. The batch extractor is value-identical to
+    ``extract_features`` per pair, so the confidences match
+    ``PairClassifier.score_pair`` exactly.
     """
-    token, pairs = payload
-    state = shared_state(token)
+    ref, pairs = payload
+    state = shared_state(ref)
     dataset: "Dataset" = state["dataset"]
     model: "ADTreeModel" = state["model"]
     feature_names: Optional[Tuple[str, ...]] = state["feature_names"]
@@ -159,34 +112,34 @@ def classify_pair_chunk_shared(
 @picklable_work
 @fork_safe
 @impure(
-    reason="reads the worker clock and pid to attribute per-chunk time; "
-           "the wrapped chunk function stays pure, so the unpickled "
-           "result is identical to the untraced path's"
+    reason="reads the worker clock and pid to attribute per-chunk time "
+           "when traced; the wrapped work function stays argument-"
+           "determined, so the result bytes do not depend on tracing"
 )
-def run_traced_chunk(payload: TracedChunk) -> Tuple[bytes, Dict[str, Any]]:
-    """Run one chunk under a :class:`WorkerTracer`; ship trace + result.
+def run_chunk(task: ChunkTask) -> Tuple[bytes, Optional[Dict[str, Any]]]:
+    """Run one chunk: unpickle, compute, pickle the result.
 
-    The traced executor pickles the chunk payload itself (measuring
-    bytes and serialize time parent-side), so this wrapper receives raw
-    bytes: it times the unpickle, runs the *same* module-level chunk
-    function the untraced path runs under a ``worker.compute`` span —
-    optionally under ``tracemalloc`` — and times the result pickle.
-    Returns ``(result pickle, worker-trace payload)``; the parent
-    unpickles the result (measuring that too) and merges the trace
-    keyed by chunk index. Runs identically in a pool worker, inline,
-    or in a crash retry — only the pid in the trace differs.
+    Returns ``(result pickle, worker-trace payload)``. The trace is
+    ``None`` unless ``task`` asks for tracing, in which case the steps
+    run under ``worker.deserialize``/``worker.compute``/
+    ``worker.serialize`` spans of a :class:`WorkerTracer` (the compute
+    optionally under ``tracemalloc``) and the parent merges the buffer
+    keyed by chunk index. Runs identically in a pool worker, inline, or
+    in a crash retry — only the pid in the trace differs.
     """
-    func, chunk_index, blob, profile_memory = payload
-    tracer = WorkerTracer()
+    func, chunk_index, blob, traced, profile_memory = task
+    tracer: Union[WorkerTracer, Tracer] = (
+        WorkerTracer() if traced else Tracer(enabled=False)
+    )
     peak: Optional[int] = None
     with tracer.span(WORKER_CHUNK_SPAN, chunk=chunk_index):
         with tracer.span(WORKER_DESERIALIZE_SPAN):
-            chunk_payload = pickle.loads(blob)
+            payload = pickle.loads(blob)
         if profile_memory:
             tracemalloc.start()
         try:
             with tracer.span(WORKER_COMPUTE_SPAN):
-                result = func(chunk_payload)
+                result = func(payload)
         finally:
             if profile_memory:
                 peak = tracemalloc.get_traced_memory()[1]
@@ -195,6 +148,8 @@ def run_traced_chunk(payload: TracedChunk) -> Tuple[bytes, Dict[str, Any]]:
             result_blob = pickle.dumps(
                 result, protocol=pickle.HIGHEST_PROTOCOL
             )
+    if not isinstance(tracer, WorkerTracer):
+        return result_blob, None
     return result_blob, tracer.export(
         chunk_index,
         result_bytes=len(result_blob),

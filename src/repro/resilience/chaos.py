@@ -83,6 +83,7 @@ from repro.core.pipeline import PIPELINE_STAGES
 from repro.core.resolution import ResolutionResult
 from repro.datagen import build_corpus
 from repro.obs import Tracer
+from repro.parallel.adversarial import AdversarialScheduleExecutor
 from repro.parallel.executor import MultiprocessExecutor
 from repro.records.dataset import Dataset
 from repro.records.io import read_csv, write_csv
@@ -358,10 +359,15 @@ def _scenario_worker_crash(
     serial = UncertainERPipeline(pipeline_config).run(dataset)
     expected = _ranked_bytes(serial, workdir / "serial.csv")
 
-    # The seed picks which parallel dispatch loses a worker; chunk 0
-    # always exists, and every map call of this workload has >= 2
-    # chunks at 2 workers, so the plan is guaranteed to arm.
-    plan = WorkerCrashPlan(map_call=seed % 3, chunk=0)
+    # The seed picks which parallel dispatch loses a worker, among the
+    # dispatches this workload really makes (pair lists below
+    # MIN_DISPATCH_PAIRS never dispatch); the in-process adversarial
+    # executor makes the same dispatch decisions as the pool. Chunk 0
+    # always exists, and every dispatch has >= 2 chunks at 2 workers,
+    # so the plan is guaranteed to arm.
+    probe = AdversarialScheduleExecutor(2, schedule_seed=seed)
+    UncertainERPipeline(pipeline_config, executor=probe).run(dataset)
+    plan = WorkerCrashPlan(map_call=seed % probe.stats.map_calls, chunk=0)
     executor = MultiprocessExecutor(workers=2, worker_fault=plan)
     survived = UncertainERPipeline(pipeline_config, executor=executor).run(
         dataset

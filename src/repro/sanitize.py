@@ -29,7 +29,10 @@ counterpart of reprolint's RL200-RL205 parallel-safety pass: the static
 pass proves work functions capture no shared state and merges are
 declared order-independent; the schedule sanitizer *executes* a hostile
 schedule and requires the ranked CSV to stay byte-identical to the
-serial reference across every seed × worker-count cell.
+serial reference across every seed × worker-count cell. A sweep in
+which no pair-scoring dispatch ran under a hostile order (a corpus too
+small to reach the dispatch threshold) proves nothing about the merge
+it exists to attack, so it exits 2 instead of passing.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
+    "SCORING_DISPATCH",
     "SanitizeConfig",
     "SeedRun",
     "SanitizeResult",
@@ -64,6 +68,11 @@ Runner = Callable[[int], str]
 #: Maps (schedule seed or None for the serial reference, workers) to the
 #: emitted resolution text.
 ScheduleRunner = Callable[[Optional[int], int], str]
+
+#: The dispatch the schedule sanitizer exists to attack: MFIBlocks'
+#: pair-scoring max-merge. Pair lists below the executor's dispatch
+#: threshold are scored inline, never reaching the adversary.
+SCORING_DISPATCH = "mfiblocks.score_pairs"
 
 
 @dataclass(frozen=True)
@@ -263,9 +272,13 @@ def run_sanitize(
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """What to resolve and which hostile schedules to re-run it under."""
+    """What to resolve and which hostile schedules to re-run it under.
 
-    persons: int = 40
+    The default corpus is large enough that blocking makes a
+    :data:`SCORING_DISPATCH` (a minsup level with >= 512 pairs).
+    """
+
+    persons: int = 120
     communities: Tuple[str, ...] = ("italy",)
     corpus_seed: int = 17
     ng: float = 3.5
@@ -320,13 +333,19 @@ class ScheduleResult:
         path.write_text(self.diff or "", encoding="utf-8")
 
 
-def inprocess_schedule_runner(config: ScheduleConfig) -> ScheduleRunner:
+def inprocess_schedule_runner(
+    config: ScheduleConfig, shuffled: Optional[Set[str]] = None
+) -> ScheduleRunner:
     """Real schedule runner: resolve in-process under a chosen executor.
 
     ``schedule_seed=None`` selects the serial reference executor; any
     integer selects :class:`~repro.parallel.AdversarialScheduleExecutor`
     with that seed. No subprocesses: the adversarial permutation is the
     experiment's only free variable, so PYTHONHASHSEED may stay fixed.
+
+    ``shuffled``, when given, collects the label of every adversarial
+    dispatch that had two or more chunks — the dispatches whose merge
+    actually saw a hostile order.
     """
 
     def run(schedule_seed: Optional[int], workers: int) -> str:
@@ -336,7 +355,7 @@ def inprocess_schedule_runner(config: ScheduleConfig) -> ScheduleRunner:
             executor: object = make_executor(workers)
         else:
             executor = AdversarialScheduleExecutor(workers, schedule_seed)
-        return _resolve_ranked(
+        output = _resolve_ranked(
             persons=config.persons,
             communities=config.communities,
             corpus_seed=config.corpus_seed,
@@ -344,6 +363,17 @@ def inprocess_schedule_runner(config: ScheduleConfig) -> ScheduleRunner:
             expert_weighting=config.expert_weighting,
             executor=executor,
         )
+        if shuffled is not None and isinstance(
+            executor, AdversarialScheduleExecutor
+        ):
+            shuffled.update(
+                label
+                for label, order in zip(
+                    executor.label_log, executor.schedule_log
+                )
+                if len(order) > 1
+            )
+        return output
 
     return run
 
@@ -401,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="number of non-baseline hash seeds to try (default: 3)",
     )
-    parser.add_argument("--persons", type=int, default=40)
+    parser.add_argument(
+        "--persons", type=int, default=None,
+        help="synthetic-corpus size (default: 40; 120 with --schedule)",
+    )
     parser.add_argument("--corpus-seed", type=int, default=17)
     parser.add_argument("--ng", type=float, default=3.5)
     parser.add_argument(
@@ -442,9 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sized(args: argparse.Namespace) -> Dict[str, int]:
+    """``persons`` only when given, so each mode keeps its own default."""
+    return {} if args.persons is None else {"persons": args.persons}
+
+
 def _config_from_args(args: argparse.Namespace) -> SanitizeConfig:
     return SanitizeConfig(
-        persons=args.persons,
+        **_sized(args),
         communities=tuple(args.communities),
         corpus_seed=args.corpus_seed,
         ng=args.ng,
@@ -467,7 +505,7 @@ def _schedule_config_from_args(args: argparse.Namespace) -> ScheduleConfig:
             f"got {args.schedule_workers!r}"
         ) from None
     return ScheduleConfig(
-        persons=args.persons,
+        **_sized(args),
         communities=tuple(args.communities),
         corpus_seed=args.corpus_seed,
         ng=args.ng,
@@ -487,7 +525,10 @@ def _main_schedule(args: argparse.Namespace) -> int:
         print(f"repro-sanitize: {exc}", file=sys.stderr)
         return 2
 
-    result = run_schedule_sanitize(config)
+    shuffled: Set[str] = set()
+    result = run_schedule_sanitize(
+        config, runner=inprocess_schedule_runner(config, shuffled)
+    )
     n_pairs = result.baseline_output.count("\n") - 1
     print(f"serial baseline: {n_pairs} ranked pairs")
     for run in result.runs:
@@ -500,18 +541,27 @@ def _main_schedule(args: argparse.Namespace) -> int:
         result.write_diff(args.diff_out)
         if result.diff:
             print(f"wrote divergence diff to {args.diff_out}")
-    if result.ok:
+    if not result.ok:
         print(
-            f"adversarial-schedule sanitizer: {len(result.runs)} "
-            "schedule cells byte-identical to the serial baseline"
+            "adversarial-schedule sanitizer: output depends on chunk "
+            f"schedule (diverging (seed, workers): {result.divergent_cells})",
+            file=sys.stderr,
         )
-        return 0
+        return 1
+    if SCORING_DISPATCH not in shuffled:
+        print(
+            f"repro-sanitize: no {SCORING_DISPATCH} dispatch ran under a "
+            "hostile schedule (every pair list was scored inline); raise "
+            "--persons or add a worker count > 1",
+            file=sys.stderr,
+        )
+        return 2
     print(
-        "adversarial-schedule sanitizer: output depends on chunk "
-        f"schedule (diverging (seed, workers): {result.divergent_cells})",
-        file=sys.stderr,
+        f"adversarial-schedule sanitizer: {len(result.runs)} "
+        "schedule cells byte-identical to the serial baseline "
+        f"(shuffled dispatches: {', '.join(sorted(shuffled))})"
     )
-    return 1
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

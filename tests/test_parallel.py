@@ -214,6 +214,42 @@ class TestExecutors:
         assert executor.stats.chunks_timed_out == 0
         assert executor.stats.worker_retries == 0
 
+    @pytest.mark.parametrize("fault", ["none", "crash", "hang"])
+    def test_tracing_takes_the_untraced_route(self, fault):
+        """Tracer {off, on} x fault: same results, same dispatch stats.
+
+        Faulted dispatches are one chunk, so which chunks a broken pool
+        loses is not a scheduling race.
+        """
+        payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
+        if fault != "none":
+            payloads = payloads[:1]
+        expected = SerialExecutor().map_chunks(_square_chunk, payloads)
+        runs = []
+        for tracer in (None, Tracer()):
+            options = {}
+            if fault == "crash":
+                options["worker_fault"] = WorkerCrashPlan(map_call=0, chunk=0)
+            elif fault == "hang":
+                options["timeout"] = 0.5
+                options["worker_hang"] = WorkerHangPlan(
+                    map_call=0, chunk=0, seconds=30.0
+                )
+            executor = MultiprocessExecutor(2, **options)
+            try:
+                results = executor.map_chunks(
+                    _square_chunk, payloads, tracer=tracer
+                )
+            finally:
+                executor.close()
+            runs.append((results, executor.stats.to_echo()))
+            assert bool(executor.profile.dispatches) == (tracer is not None)
+        (untraced, untraced_stats), (traced, traced_stats) = runs
+        assert untraced == traced == expected
+        assert untraced_stats == traced_stats
+        if fault != "none":
+            assert traced_stats["worker_retries"] == 1
+
     def test_timeout_and_hang_plan_validation(self):
         with pytest.raises(ValueError):
             MultiprocessExecutor(2, timeout=0.0)

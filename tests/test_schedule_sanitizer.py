@@ -19,6 +19,7 @@ from repro.parallel import (
     SerialExecutor,
 )
 from repro.sanitize import (
+    SCORING_DISPATCH,
     ScheduleConfig,
     ScheduleResult,
     ScheduleRun,
@@ -84,6 +85,13 @@ class TestAdversarialScheduleExecutor:
         executor = AdversarialScheduleExecutor(workers=2, schedule_seed=1)
         assert executor.map_chunks(double, []) == []
         assert executor.schedule_log == [[]]
+
+    def test_labels_logged_per_dispatch(self):
+        executor = AdversarialScheduleExecutor(workers=2, schedule_seed=1)
+        executor.map_chunks(double, [[1], [2]], label="a")
+        executor.map_chunks(double, [])
+        assert executor.label_log == ["a", "parallel.map"]
+        assert len(executor.label_log) == len(executor.schedule_log)
 
     def test_stats_and_plan(self):
         executor = AdversarialScheduleExecutor(workers=3, schedule_seed=1)
@@ -178,20 +186,43 @@ class TestRunScheduleSanitizeWithFakeRunner:
 
 class TestEndToEnd:
     def test_small_resolution_schedule_invariant(self):
-        # One hostile seed over two worker counts on a small corpus;
-        # the full 3x{1,2,4} matrix runs in CI via `repro sanitize
-        # --schedule`.
-        config = ScheduleConfig(
-            persons=16, schedule_seeds=(1,), worker_counts=(1, 2)
-        )
+        # One hostile seed over two worker counts on the default corpus,
+        # the smallest that dispatches pair scoring; the full 3x{1,2,4}
+        # matrix runs in CI via `repro sanitize --schedule`.
+        config = ScheduleConfig(schedule_seeds=(1,), worker_counts=(1, 2))
+        shuffled = set()
         result = run_schedule_sanitize(
-            config, runner=inprocess_schedule_runner(config)
+            config, runner=inprocess_schedule_runner(config, shuffled)
         )
         assert result.ok, result.diff
         assert result.baseline_output.startswith(
             "book_id_a,book_id_b,similarity\n"
         )
         assert len(result.runs) == 2
+        # The scoring max-merge really ran in a hostile order, not just
+        # the mining shards.
+        assert shuffled == {SCORING_DISPATCH, "fpgrowth.shards"}
+
+    def test_tiny_corpus_never_shuffles_scoring(self):
+        config = ScheduleConfig(
+            persons=16, schedule_seeds=(1,), worker_counts=(2,)
+        )
+        shuffled = set()
+        assert run_schedule_sanitize(
+            config, runner=inprocess_schedule_runner(config, shuffled)
+        ).ok
+        assert SCORING_DISPATCH not in shuffled
+
+    def test_cli_refuses_a_sweep_that_shuffled_no_scoring(self, capsys):
+        from repro.sanitize import main as sanitize_main
+
+        assert sanitize_main(
+            [
+                "--schedule", "--schedule-seeds", "1",
+                "--schedule-workers", "2", "--persons", "16",
+            ]
+        ) == 2
+        assert SCORING_DISPATCH in capsys.readouterr().err
 
 
 class TestCommandLine:
