@@ -32,6 +32,7 @@ WAL-backed incremental resolver (``--wal-dir``/``--recover``), and
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -61,6 +62,20 @@ from repro.resilience import (
 from repro.version import repro_version
 
 __all__ = ["main", "build_parser"]
+
+#: Gate entries that own their flags: name -> (module, help summary).
+_MODULE_COMMANDS = {
+    "sanitize": (
+        "repro.sanitize",
+        "re-run a small seeded resolution under permuted PYTHONHASHSEED "
+        "values or hostile chunk schedules; require byte-identical output",
+    ),
+    "chaos": (
+        "repro.resilience.chaos",
+        "run the seeded fault-injection scenarios and verify the "
+        "resilience invariants",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,60 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="measured share at or above which a --perf "
                            "finding gates (default 0.02)")
 
-    sanitize = commands.add_parser(
-        "sanitize",
-        help="re-run a small seeded resolution under permuted "
-             "PYTHONHASHSEED values and require byte-identical output",
-    )
-    sanitize.add_argument("--seeds", type=int, default=3,
-                          help="number of non-baseline hash seeds "
-                               "(default: 3)")
-    sanitize.add_argument("--persons", type=int, default=None,
-                          help="synthetic-corpus size (default: 40; 120 "
-                               "with --schedule)")
-    sanitize.add_argument("--corpus-seed", type=int, default=17)
-    sanitize.add_argument("--ng", type=float, default=3.5)
-    sanitize.add_argument("--communities", nargs="+", default=["italy"],
-                          choices=list(COMMUNITIES))
-    sanitize.add_argument("--no-expert-weighting", action="store_true")
-    sanitize.add_argument("--diff-out", type=Path, default=None,
-                          help="write the first divergence as a unified "
-                               "diff to this file")
-    sanitize.add_argument("--workers", type=int, default=1,
-                          help="run each seeded resolution with this many "
-                               "parallel workers (parity with serial is "
-                               "part of the check)")
-    sanitize.add_argument("--schedule", action="store_true",
-                          help="run the adversarial-schedule sanitizer "
-                               "instead: permute chunk execution order "
-                               "under seeded schedules x worker counts")
-    sanitize.add_argument("--schedule-seeds", type=int, default=3,
-                          help="adversarial schedule seeds to try "
-                               "(default: 3)")
-    sanitize.add_argument("--schedule-workers", default="1,2,4",
-                          help="comma-separated worker counts swept under "
-                               "each schedule seed (default: 1,2,4)")
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="run the seeded fault-injection scenarios (corrupt rows, "
-             "truncated checkpoints, mid-stage crashes, exhausted "
-             "budgets) and verify resilience invariants",
-    )
-    chaos.add_argument("--seed", type=_seed_list, default=[0],
-                       help="comma-separated fault seeds (default: 0)")
-    chaos.add_argument("--scenario", default="all",
-                       choices=("all", "corrupt-rows", "truncated-checkpoint",
-                                "crash-resume", "budget", "worker-crash",
-                                "crash-mid-batch", "torn-wal"),
-                       help="which fault family to inject (default: all)")
-    chaos.add_argument("--persons", type=int, default=40)
-    chaos.add_argument("--corpus-seed", type=int, default=17)
-    chaos.add_argument("--ng", type=float, default=3.5)
-    chaos.add_argument("--corrupt-fraction", type=float, default=0.05)
-    chaos.add_argument("--artifacts-dir", type=Path, default=None,
-                       help="keep quarantine/diff artifacts here "
-                            "(default: temporary, removed on success)")
+    # Argv after these names goes straight to the module's own parser
+    # (see main); they are listed here for `repro --help`.
+    for name, (_module, summary) in _MODULE_COMMANDS.items():
+        commands.add_parser(name, help=summary, add_help=False)
 
     ingest = commands.add_parser(
         "ingest",
@@ -360,16 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "here (the CI artifact)")
 
     return parser
-
-
-def _seed_list(text: str) -> List[int]:
-    """Parse ``--seed 0,1,2`` into a list of ints."""
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from error
 
 
 def _add_parallel_arguments(command: argparse.ArgumentParser) -> None:
@@ -728,49 +683,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return reprolint_main(lint_argv)
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    """Delegate to :mod:`repro.sanitize` (hash-order determinism check)."""
-    from repro.sanitize import main as sanitize_main
-
-    sanitize_argv: List[str] = [
-        "--seeds", str(args.seeds),
-        "--corpus-seed", str(args.corpus_seed),
-        "--ng", str(args.ng),
-        "--communities", *args.communities,
-    ]
-    if args.persons is not None:
-        sanitize_argv += ["--persons", str(args.persons)]
-    if args.no_expert_weighting:
-        sanitize_argv.append("--no-expert-weighting")
-    if args.workers != 1:
-        sanitize_argv += ["--workers", str(args.workers)]
-    if args.diff_out is not None:
-        sanitize_argv += ["--diff-out", str(args.diff_out)]
-    if args.schedule:
-        sanitize_argv += [
-            "--schedule",
-            "--schedule-seeds", str(args.schedule_seeds),
-            "--schedule-workers", args.schedule_workers,
-        ]
-    return sanitize_main(sanitize_argv)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Delegate to :mod:`repro.resilience.chaos` (fault-injection harness)."""
-    from repro.resilience.chaos import ChaosConfig, run_chaos
-
-    config = ChaosConfig(
-        seeds=tuple(args.seed),
-        scenario=args.scenario,
-        persons=args.persons,
-        corpus_seed=args.corpus_seed,
-        ng=args.ng,
-        corrupt_fraction=args.corrupt_fraction,
-        artifacts_dir=args.artifacts_dir,
-    )
-    return run_chaos(config)
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Stream arrivals through :class:`IncrementalResolver.add_records`.
 
@@ -974,8 +886,6 @@ _COMMANDS = {
     "narratives": _cmd_narratives,
     "experiment": _cmd_experiment,
     "lint": _cmd_lint,
-    "sanitize": _cmd_sanitize,
-    "chaos": _cmd_chaos,
     "ingest": _cmd_ingest,
     "checkpoint": _cmd_checkpoint,
     "perf": _cmd_perf,
@@ -984,6 +894,10 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _MODULE_COMMANDS:
+        module = importlib.import_module(_MODULE_COMMANDS[argv[0]][0])
+        return int(module.main(argv[1:]))
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

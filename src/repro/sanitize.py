@@ -1,449 +1,273 @@
-"""Hash-order sanitizer: prove resolution output ignores PYTHONHASHSEED.
+"""The determinism sanitizers: hash-seed and schedule gates.
 
-Python randomizes ``str``/``bytes`` hashing per process unless
-``PYTHONHASHSEED`` pins it, so any code path that lets ``set``/``dict``
-iteration order reach output produces *different bytes on different
-runs*. reprolint's RL002 and the RL100-RL103 contract pass catch such
-paths statically; this module is the dynamic counterpart — an
-end-to-end experiment:
+Two gates over the differential harness of :mod:`repro.gates`, each an
+oracle and a sweep of cells that must render the same ranked text:
 
-1. run a small, fully seeded corpus-generation + resolution in a child
-   process with a **baseline** ``PYTHONHASHSEED``;
-2. repeat under ``n`` further hash seeds, permuting every hash-dependent
-   iteration order in the interpreter;
-3. assert the ranked resolution output is **byte-identical** across all
-   runs, and render a unified diff of the first divergence otherwise.
+``hash-seed`` (default)
+    Python randomizes ``str`` hashing per process, so any path that
+    lets ``set``/``dict`` iteration order reach output produces
+    different bytes on different runs. reprolint's RL002 and RL100-RL103
+    catch such paths statically; this is the dynamic counterpart. The
+    oracle is a ``python -m repro.sanitize --emit`` child under
+    ``PYTHONHASHSEED=0``; the variants are children under seeds 1..n.
+    ``--workers`` is passed to every child, folding the parallel layer's
+    chunking and merging into the same requirement.
 
-The child entry point is ``python -m repro.sanitize --emit`` (it prints
-the ranked-pairs CSV to stdout); :func:`run_sanitize` drives it through
-a pluggable *runner* so tests can exercise the comparison logic without
-spawning processes. Exit codes mirror reprolint: 0 identical, 1
-divergence, 2 bad invocation.
+``schedule`` (``--schedule``)
+    The dynamic counterpart of reprolint's RL200-RL205 parallel-safety
+    pass, in-process. The oracle is the serial run; the variants run
+    under :class:`~repro.parallel.AdversarialScheduleExecutor`, which
+    permutes chunk execution order per ``(schedule seed, dispatch)``,
+    for every seed × worker count, plus a :class:`~repro.obs.Tracer` on
+    at workers 1 and 2 (tracing must not change what it measures). A
+    second gate, ``schedule-classify``, compares the classified serial
+    run with one hostile classified cell per seed, attacking the
+    classifier's rank merge. A sweep in which either scoring merge
+    (:data:`SCORING_DISPATCHES`) never ran in a hostile order proves
+    nothing about it, so it exits 2 instead of passing.
 
-``--schedule`` runs the *adversarial-schedule* variant instead: the
-same seeded resolution executed under
-:class:`repro.parallel.AdversarialScheduleExecutor`, which permutes
-chunk execution order per ``(schedule seed, dispatch)`` while sweeping
-worker counts (and with them chunk boundaries). It is the dynamic
-counterpart of reprolint's RL200-RL205 parallel-safety pass: the static
-pass proves work functions capture no shared state and merges are
-declared order-independent; the schedule sanitizer *executes* a hostile
-schedule and requires the ranked CSV to stay byte-identical to the
-serial reference across every seed × worker-count cell. A sweep in
-which no pair-scoring dispatch ran under a hostile order (a corpus too
-small to reach the dispatch threshold) proves nothing about the merge
-it exists to attack, so it exits 2 instead of passing.
+Both resolve the fixed gate corpus; only ``--persons`` sizes it. Exit
+codes are the harness's: 0 every gate held, 1 an invariant failed, 2 bad
+invocation or a vacuous sweep.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.gates import (
+    Gate,
+    GateConfig,
+    GateFailure,
+    Variant,
+    build_dataset,
+    int_list,
+    pipeline_config,
+    ranked_text,
+    require,
+    run_gates,
+)
+
+if TYPE_CHECKING:
+    from repro.core.resolution import Pair
 
 __all__ = [
-    "SCORING_DISPATCH",
-    "SanitizeConfig",
-    "SeedRun",
-    "SanitizeResult",
-    "ScheduleConfig",
-    "ScheduleRun",
-    "ScheduleResult",
-    "emit_resolution",
-    "subprocess_runner",
-    "run_sanitize",
-    "inprocess_schedule_runner",
-    "run_schedule_sanitize",
+    "SCORING_DISPATCHES",
+    "Cell",
+    "hash_seed_gate",
+    "inprocess_runner",
     "main",
+    "resolve_cell",
+    "schedule_gates",
+    "subprocess_runner",
 ]
 
-#: Maps a PYTHONHASHSEED value to the emitted resolution text.
-Runner = Callable[[int], str]
+#: The merges the schedule sweep exists to attack: MFIBlocks' pair-
+#: scoring max-merge and the classifier's rank merge. Pair lists below
+#: the executor's dispatch threshold are scored inline, out of reach.
+SCORING_DISPATCHES = ("mfiblocks.score_pairs", "classify.score_pairs")
 
-#: Maps (schedule seed or None for the serial reference, workers) to the
-#: emitted resolution text.
-ScheduleRunner = Callable[[Optional[int], int], str]
+#: Worker counts of the traced cells (serial, and one real pool).
+TRACED_WORKERS = (1, 2)
 
-#: The dispatch the schedule sanitizer exists to attack: MFIBlocks'
-#: pair-scoring max-merge. Pair lists below the executor's dispatch
-#: threshold are scored inline, never reaching the adversary.
-SCORING_DISPATCH = "mfiblocks.score_pairs"
+#: Default corpus sizes: the schedule sweep needs a minsup level with
+#: >= 512 pairs to dispatch any scoring at all.
+HASH_PERSONS = 40
+SCHEDULE_PERSONS = 120
 
 
 @dataclass(frozen=True)
-class SanitizeConfig:
-    """What to resolve and under which hash seeds to re-run it."""
+class Cell:
+    """One seeded resolution: the seed is PYTHONHASHSEED for the hash
+    gate and the adversary's schedule seed (``None``: the production
+    executor) for the schedule gates."""
 
-    persons: int = 40
-    communities: Tuple[str, ...] = ("italy",)
-    corpus_seed: int = 17
-    ng: float = 3.5
-    expert_weighting: bool = True
-    baseline_hash_seed: int = 0
-    hash_seeds: Tuple[int, ...] = (1, 2, 3)
-    timeout: float = 120.0
+    seed: Optional[int] = None
     workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.persons < 2:
-            raise ValueError(f"persons must be >= 2, got {self.persons}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.hash_seeds:
-            raise ValueError("need at least one non-baseline hash seed")
-        if self.baseline_hash_seed in self.hash_seeds:
-            raise ValueError(
-                f"baseline hash seed {self.baseline_hash_seed} must not "
-                "recur in hash_seeds"
-            )
+    traced: bool = False
+    classify: bool = False
 
 
-@dataclass(frozen=True)
-class SeedRun:
-    """Outcome of one hash-seed run, compared against the baseline."""
-
-    hash_seed: int
-    matches_baseline: bool
-    n_lines: int
+#: Renders one cell's ranked text.
+Runner = Callable[[Cell], str]
 
 
-@dataclass
-class SanitizeResult:
-    """Baseline plus per-seed comparisons and the first divergence diff."""
-
-    baseline_hash_seed: int
-    baseline_output: str
-    runs: List[SeedRun] = field(default_factory=list)
-    diff: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return all(run.matches_baseline for run in self.runs)
-
-    @property
-    def divergent_seeds(self) -> List[int]:
-        return [r.hash_seed for r in self.runs if not r.matches_baseline]
-
-    def write_diff(self, path: Path) -> None:
-        """Persist the divergence diff (empty file when clean) for CI."""
-        path.write_text(self.diff or "", encoding="utf-8")
-
-
-def _resolve_ranked(
+def resolve_cell(
     persons: int,
-    communities: Tuple[str, ...],
-    corpus_seed: int,
-    ng: float,
-    expert_weighting: bool,
-    executor: object,
+    cell: Cell,
+    labels: Optional[Dict[Pair, bool]] = None,
+    shuffled: Optional[Set[str]] = None,
 ) -> str:
-    """Build the sanitizer corpus, resolve it, render the ranked CSV.
+    """Resolve the gate corpus in this process as ``cell`` says.
 
-    The one resolution both sanitizer modes share; they differ only in
-    which executor they hand in and which axis they permute around it.
+    ``labels`` train the classifier of a ``classify`` cell. ``shuffled``
+    collects the label of every adversarial dispatch that had two or
+    more chunks — the merges that really saw a hostile order.
     """
-    # Imported here so the child process pays for the pipeline only when
-    # actually resolving and the module stays importable for config/diff
-    # logic even in stripped-down environments.
-    from repro.core import PipelineConfig, UncertainERPipeline
-    from repro.datagen import build_corpus
+    from repro.core import UncertainERPipeline
+    from repro.obs import Tracer
+    from repro.parallel import AdversarialScheduleExecutor, make_executor
 
-    dataset, _persons = build_corpus(
-        n_persons=persons,
-        communities=communities,
-        seed=corpus_seed,
-        name="sanitize",
+    executor = (
+        make_executor(cell.workers) if cell.seed is None
+        else AdversarialScheduleExecutor(cell.workers, cell.seed)
     )
+    tracer = Tracer() if cell.traced else None
     pipeline = UncertainERPipeline(
-        PipelineConfig(ng=ng, expert_weighting=expert_weighting),
-        executor=executor,
+        pipeline_config(classify=cell.classify),
+        tracer=tracer, executor=executor,
     )
-    resolution = pipeline.run(dataset)
-    lines = ["book_id_a,book_id_b,similarity"]
-    for evidence in resolution.ranked():
-        a, b = evidence.pair
-        lines.append(f"{a},{b},{evidence.similarity:.6f}")
-    return "\n".join(lines) + "\n"
+    try:
+        resolution = pipeline.run(build_dataset(persons), labeled_pairs=labels)
+    finally:
+        executor.close()
+        if tracer is not None:
+            tracer.close()
+    if shuffled is not None and isinstance(
+        executor, AdversarialScheduleExecutor
+    ):
+        shuffled.update(
+            label
+            for label, order in zip(executor.label_log, executor.schedule_log)
+            if len(order) > 1
+        )
+    return ranked_text(resolution)
 
 
-def emit_resolution(config: SanitizeConfig) -> str:
-    """Generate the sanitizer corpus, resolve it, render the ranked CSV.
+def subprocess_runner(config: GateConfig) -> Runner:
+    """One ``python -m repro.sanitize --emit`` child per cell, run under
+    the cell's seed as PYTHONHASHSEED. A timeout or non-zero exit raises
+    :class:`~repro.gates.GateFailure` with the tail of the child's
+    stderr."""
 
-    Everything downstream of the interpreter's hash seed is exercised:
-    item-bag construction, MFI mining, blocking, scoring, and ranking.
-    All explicit RNG is seeded from ``config``, so the *only* free
-    variable across child processes is PYTHONHASHSEED. With
-    ``workers > 1`` the resolution runs through the parallel executor,
-    which folds the parallel layer's chunking and merging into the same
-    byte-identity requirement (hash seeds × worker schedules).
-    """
-    from repro.parallel import make_executor
-
-    return _resolve_ranked(
-        persons=config.persons,
-        communities=config.communities,
-        corpus_seed=config.corpus_seed,
-        ng=config.ng,
-        expert_weighting=config.expert_weighting,
-        executor=make_executor(config.workers),
-    )
-
-
-def subprocess_runner(config: SanitizeConfig) -> Runner:
-    """Real runner: one ``python -m repro.sanitize --emit`` per hash seed."""
-
-    def run(hash_seed: int) -> str:
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = str(hash_seed)
+    def run(cell: Cell) -> str:
         # The child must resolve `repro` to the same tree as this process.
-        package_root = str(Path(__file__).resolve().parents[1])
-        previous = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not previous
-            else package_root + os.pathsep + previous
+        path = [str(Path(__file__).resolve().parents[1])]
+        path += filter(None, [os.environ.get("PYTHONPATH")])
+        env = dict(
+            os.environ, PYTHONHASHSEED=str(cell.seed),
+            PYTHONPATH=os.pathsep.join(path),
         )
         argv = [
-            sys.executable,
-            "-m",
-            "repro.sanitize",
-            "--emit",
-            "--persons", str(config.persons),
-            "--corpus-seed", str(config.corpus_seed),
-            "--ng", str(config.ng),
-            "--communities", *config.communities,
+            sys.executable, "-m", "repro.sanitize", "--emit",
+            "--persons", str(config.persons), "--workers", str(cell.workers),
         ]
-        if not config.expert_weighting:
-            argv.append("--no-expert-weighting")
-        if config.workers != 1:
-            argv += ["--workers", str(config.workers)]
-        completed = subprocess.run(
-            argv,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=config.timeout,
-        )
-        if completed.returncode != 0:
-            raise RuntimeError(
-                f"sanitizer child (PYTHONHASHSEED={hash_seed}) failed with "
-                f"exit code {completed.returncode}:\n{completed.stderr}"
+        child = f"child (PYTHONHASHSEED={cell.seed})"
+        try:
+            completed = subprocess.run(
+                argv, env=env, capture_output=True, text=True,
+                timeout=config.timeout,
             )
+        except subprocess.TimeoutExpired:
+            raise GateFailure(
+                f"{child} timed out after {config.timeout:g} s"
+            ) from None
+        tail = "\n".join(completed.stderr.splitlines()[-20:])
+        require(
+            completed.returncode == 0,
+            f"{child} exited {completed.returncode}:\n{tail}",
+        )
         return completed.stdout
 
     return run
 
 
-def run_sanitize(
-    config: SanitizeConfig, runner: Optional[Runner] = None
-) -> SanitizeResult:
-    """Run the baseline plus every configured hash seed and compare."""
-    runner = runner if runner is not None else subprocess_runner(config)
-    baseline = runner(config.baseline_hash_seed)
-    result = SanitizeResult(
-        baseline_hash_seed=config.baseline_hash_seed,
-        baseline_output=baseline,
-    )
-    for hash_seed in config.hash_seeds:
-        output = runner(hash_seed)
-        matches = output == baseline
-        result.runs.append(
-            SeedRun(
-                hash_seed=hash_seed,
-                matches_baseline=matches,
-                n_lines=output.count("\n"),
-            )
+def inprocess_runner(
+    persons: int, shuffled: Optional[Set[str]] = None
+) -> Runner:
+    """Resolve each cell in-process; a ``classify`` cell trains on
+    ExpertTagger labels from one serial blocking pass, shared by the
+    whole sweep."""
+    labels: Dict[Pair, bool] = {}
+
+    def run(cell: Cell) -> str:
+        if cell.classify and not labels:
+            from repro.core import UncertainERPipeline
+            from repro.datagen import ExpertTagger, simplify_tags
+
+            dataset = build_dataset(persons)
+            blocking = UncertainERPipeline(pipeline_config()).block(dataset)
+            tagged = ExpertTagger(dataset).tag_pairs(blocking.candidate_pairs)
+            labels.update(simplify_tags(tagged, maybe_as=None))
+        return resolve_cell(
+            persons, cell, labels if cell.classify else None, shuffled
         )
-        if not matches and result.diff is None:
-            result.diff = "".join(
-                difflib.unified_diff(
-                    baseline.splitlines(keepends=True),
-                    output.splitlines(keepends=True),
-                    fromfile=f"PYTHONHASHSEED={config.baseline_hash_seed}",
-                    tofile=f"PYTHONHASHSEED={hash_seed}",
-                )
-            )
-    return result
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """What to resolve and which hostile schedules to re-run it under.
-
-    The default corpus is large enough that blocking makes a
-    :data:`SCORING_DISPATCH` (a minsup level with >= 512 pairs).
-    """
-
-    persons: int = 120
-    communities: Tuple[str, ...] = ("italy",)
-    corpus_seed: int = 17
-    ng: float = 3.5
-    expert_weighting: bool = True
-    schedule_seeds: Tuple[int, ...] = (1, 2, 3)
-    worker_counts: Tuple[int, ...] = (1, 2, 4)
-
-    def __post_init__(self) -> None:
-        if self.persons < 2:
-            raise ValueError(f"persons must be >= 2, got {self.persons}")
-        if not self.schedule_seeds:
-            raise ValueError("need at least one schedule seed")
-        if not self.worker_counts:
-            raise ValueError("need at least one worker count")
-        bad = [w for w in self.worker_counts if w < 1]
-        if bad:
-            raise ValueError(f"worker counts must be >= 1, got {bad}")
-
-
-@dataclass(frozen=True)
-class ScheduleRun:
-    """One (schedule seed, worker count) cell compared to the baseline."""
-
-    schedule_seed: int
-    workers: int
-    matches_baseline: bool
-    n_lines: int
-
-
-@dataclass
-class ScheduleResult:
-    """Serial baseline plus the seeds × workers comparison matrix."""
-
-    baseline_output: str
-    runs: List[ScheduleRun] = field(default_factory=list)
-    diff: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return all(run.matches_baseline for run in self.runs)
-
-    @property
-    def divergent_cells(self) -> List[Tuple[int, int]]:
-        return [
-            (r.schedule_seed, r.workers)
-            for r in self.runs
-            if not r.matches_baseline
-        ]
-
-    def write_diff(self, path: Path) -> None:
-        """Persist the divergence diff (empty file when clean) for CI."""
-        path.write_text(self.diff or "", encoding="utf-8")
-
-
-def inprocess_schedule_runner(
-    config: ScheduleConfig, shuffled: Optional[Set[str]] = None
-) -> ScheduleRunner:
-    """Real schedule runner: resolve in-process under a chosen executor.
-
-    ``schedule_seed=None`` selects the serial reference executor; any
-    integer selects :class:`~repro.parallel.AdversarialScheduleExecutor`
-    with that seed. No subprocesses: the adversarial permutation is the
-    experiment's only free variable, so PYTHONHASHSEED may stay fixed.
-
-    ``shuffled``, when given, collects the label of every adversarial
-    dispatch that had two or more chunks — the dispatches whose merge
-    actually saw a hostile order.
-    """
-
-    def run(schedule_seed: Optional[int], workers: int) -> str:
-        from repro.parallel import AdversarialScheduleExecutor, make_executor
-
-        if schedule_seed is None:
-            executor: object = make_executor(workers)
-        else:
-            executor = AdversarialScheduleExecutor(workers, schedule_seed)
-        output = _resolve_ranked(
-            persons=config.persons,
-            communities=config.communities,
-            corpus_seed=config.corpus_seed,
-            ng=config.ng,
-            expert_weighting=config.expert_weighting,
-            executor=executor,
-        )
-        if shuffled is not None and isinstance(
-            executor, AdversarialScheduleExecutor
-        ):
-            shuffled.update(
-                label
-                for label, order in zip(
-                    executor.label_log, executor.schedule_log
-                )
-                if len(order) > 1
-            )
-        return output
 
     return run
 
 
-def run_schedule_sanitize(
-    config: ScheduleConfig, runner: Optional[ScheduleRunner] = None
-) -> ScheduleResult:
-    """Serial baseline, then every schedule seed × worker count cell.
+def _sweep(
+    name: str, runner: Runner, cells: Sequence[Tuple[str, Cell]]
+) -> Gate:
+    """A gate whose first cell is the oracle and the rest its variants."""
+    variants = [
+        Variant(label, lambda workdir, cell=cell: runner(cell))
+        for label, cell in cells
+    ]
+    return Gate(name, lambda workdir: (variants[0], variants[1:]))
 
-    The baseline is ``runner(None, 1)`` — the serial reference path with
-    no adversary — so every parallel cell is compared against the output
-    the paper-facing CLI produces by default.
-    """
-    runner = runner if runner is not None else inprocess_schedule_runner(config)
-    baseline = runner(None, 1)
-    result = ScheduleResult(baseline_output=baseline)
-    for schedule_seed in config.schedule_seeds:
-        for workers in config.worker_counts:
-            output = runner(schedule_seed, workers)
-            matches = output == baseline
-            result.runs.append(
-                ScheduleRun(
-                    schedule_seed=schedule_seed,
-                    workers=workers,
-                    matches_baseline=matches,
-                    n_lines=output.count("\n"),
-                )
-            )
-            if not matches and result.diff is None:
-                result.diff = "".join(
-                    difflib.unified_diff(
-                        baseline.splitlines(keepends=True),
-                        output.splitlines(keepends=True),
-                        fromfile="serial baseline",
-                        tofile=(
-                            f"schedule_seed={schedule_seed} "
-                            f"workers={workers}"
-                        ),
-                    )
-                )
-    return result
+
+def hash_seed_gate(
+    config: GateConfig, runner: Optional[Runner] = None
+) -> Gate:
+    """The PYTHONHASHSEED=0 child against every seed × worker count."""
+    if 0 in config.seeds:
+        raise ValueError("baseline hash seed 0 must not recur in the seeds")
+    cells = [Cell(0, config.workers[0])] + [
+        Cell(seed, workers)
+        for workers in config.workers for seed in config.seeds
+    ]
+    return _sweep(
+        "hash-seed",
+        runner or subprocess_runner(config),
+        [(f"PYTHONHASHSEED={c.seed} workers={c.workers}", c) for c in cells],
+    )
+
+
+def schedule_gates(config: GateConfig, runner: Runner) -> List[Gate]:
+    """The serial oracle against every hostile seed × worker count cell
+    and the traced cells; the classified serial oracle against one
+    hostile classified cell per seed, at the widest worker count."""
+    widest = max(config.workers)
+    return [
+        _sweep("schedule", runner, [("serial", Cell())] + [
+            (f"schedule_seed={seed} workers={workers}", Cell(seed, workers))
+            for seed in config.seeds for workers in config.workers
+        ] + [
+            (f"traced workers={workers}", Cell(workers=workers, traced=True))
+            for workers in TRACED_WORKERS
+        ]),
+        _sweep("schedule-classify", runner, [
+            ("classified serial", Cell(classify=True)),
+        ] + [
+            (f"classified schedule_seed={seed} workers={widest}",
+             Cell(seed, widest, classify=True))
+            for seed in config.seeds
+        ]),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-sanitize",
-        description=(
-            "re-run a small seeded resolution under permuted "
-            "PYTHONHASHSEED values and require byte-identical output"
-        ),
+        prog="repro sanitize",
+        description="re-run a small seeded resolution under permuted "
+        "PYTHONHASHSEED values (or, with --schedule, hostile chunk "
+        "schedules) and require byte-identical ranked output",
     )
     parser.add_argument(
-        "--seeds",
-        type=int,
-        default=3,
+        "--seeds", type=int, default=3,
         help="number of non-baseline hash seeds to try (default: 3)",
     )
     parser.add_argument(
         "--persons", type=int, default=None,
-        help="synthetic-corpus size (default: 40; 120 with --schedule)",
-    )
-    parser.add_argument("--corpus-seed", type=int, default=17)
-    parser.add_argument("--ng", type=float, default=3.5)
-    parser.add_argument(
-        "--communities", nargs="+", default=["italy"],
-        help="synthetic-corpus communities (default: italy)",
-    )
-    parser.add_argument(
-        "--no-expert-weighting", action="store_true",
-        help="score blocks with uniform Jaccard instead",
+        help=f"synthetic-corpus size (default: {HASH_PERSONS}; "
+        f"{SCHEDULE_PERSONS} with --schedule)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -475,135 +299,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sized(args: argparse.Namespace) -> Dict[str, int]:
-    """``persons`` only when given, so each mode keeps its own default."""
-    return {} if args.persons is None else {"persons": args.persons}
-
-
-def _config_from_args(args: argparse.Namespace) -> SanitizeConfig:
-    return SanitizeConfig(
-        **_sized(args),
-        communities=tuple(args.communities),
-        corpus_seed=args.corpus_seed,
-        ng=args.ng,
-        expert_weighting=not args.no_expert_weighting,
-        hash_seeds=tuple(range(1, args.seeds + 1)),
-        workers=args.workers,
+def _config(args: argparse.Namespace) -> GateConfig:
+    flag, seeds = (
+        ("--schedule-seeds", args.schedule_seeds) if args.schedule
+        else ("--seeds", args.seeds)
     )
-
-
-def _schedule_config_from_args(args: argparse.Namespace) -> ScheduleConfig:
-    try:
-        worker_counts = tuple(
-            int(token)
-            for token in args.schedule_workers.split(",")
-            if token.strip()
-        )
-    except ValueError:
-        raise ValueError(
-            f"--schedule-workers must be comma-separated integers, "
-            f"got {args.schedule_workers!r}"
-        ) from None
-    return ScheduleConfig(
-        **_sized(args),
-        communities=tuple(args.communities),
-        corpus_seed=args.corpus_seed,
-        ng=args.ng,
-        expert_weighting=not args.no_expert_weighting,
-        schedule_seeds=tuple(range(1, args.schedule_seeds + 1)),
-        worker_counts=worker_counts,
+    if seeds < 1:
+        raise ValueError(f"{flag} must be >= 1")
+    default_persons = SCHEDULE_PERSONS if args.schedule else HASH_PERSONS
+    return GateConfig(
+        persons=default_persons if args.persons is None else args.persons,
+        seeds=tuple(range(1, seeds + 1)),
+        workers=(
+            int_list(args.schedule_workers, "--schedule-workers")
+            if args.schedule else (args.workers,)
+        ),
     )
-
-
-def _main_schedule(args: argparse.Namespace) -> int:
-    if args.schedule_seeds < 1:
-        print("repro-sanitize: --schedule-seeds must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        config = _schedule_config_from_args(args)
-    except ValueError as exc:
-        print(f"repro-sanitize: {exc}", file=sys.stderr)
-        return 2
-
-    shuffled: Set[str] = set()
-    result = run_schedule_sanitize(
-        config, runner=inprocess_schedule_runner(config, shuffled)
-    )
-    n_pairs = result.baseline_output.count("\n") - 1
-    print(f"serial baseline: {n_pairs} ranked pairs")
-    for run in result.runs:
-        status = "identical" if run.matches_baseline else "DIVERGED"
-        print(
-            f"schedule_seed={run.schedule_seed} workers={run.workers}: "
-            f"{status}"
-        )
-    if args.diff_out is not None:
-        result.write_diff(args.diff_out)
-        if result.diff:
-            print(f"wrote divergence diff to {args.diff_out}")
-    if not result.ok:
-        print(
-            "adversarial-schedule sanitizer: output depends on chunk "
-            f"schedule (diverging (seed, workers): {result.divergent_cells})",
-            file=sys.stderr,
-        )
-        return 1
-    if SCORING_DISPATCH not in shuffled:
-        print(
-            f"repro-sanitize: no {SCORING_DISPATCH} dispatch ran under a "
-            "hostile schedule (every pair list was scored inline); raise "
-            "--persons or add a worker count > 1",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"adversarial-schedule sanitizer: {len(result.runs)} "
-        "schedule cells byte-identical to the serial baseline "
-        f"(shuffled dispatches: {', '.join(sorted(shuffled))})"
-    )
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro.sanitize`` and ``repro sanitize``."""
-    args = build_parser().parse_args(list(argv) if argv is not None else None)
-    if args.schedule:
-        return _main_schedule(args)
-    if args.seeds < 1:
-        print("repro-sanitize: --seeds must be >= 1", file=sys.stderr)
-        return 2
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config(args)
     except ValueError as exc:
-        print(f"repro-sanitize: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
-
     if args.emit:
-        sys.stdout.write(emit_resolution(config))
+        cell = Cell(workers=args.workers)
+        sys.stdout.write(resolve_cell(config.persons, cell))
         return 0
+    if not args.schedule:
+        return run_gates(
+            parser.prog, [hash_seed_gate(config)], diff_out=args.diff_out
+        )
 
-    result = run_sanitize(config)
-    n_pairs = result.baseline_output.count("\n") - 1
-    print(
-        f"baseline PYTHONHASHSEED={result.baseline_hash_seed}: "
-        f"{n_pairs} ranked pairs"
+    shuffled: Set[str] = set()
+
+    def unshuffled() -> Optional[str]:
+        missing = [d for d in SCORING_DISPATCHES if d not in shuffled]
+        return (
+            f"no {' or '.join(missing)} dispatch ran under a hostile "
+            "schedule (those pair lists were scored inline); raise "
+            "--persons or add a worker count > 1"
+        ) if missing else None
+
+    code = run_gates(
+        parser.prog,
+        schedule_gates(config, inprocess_runner(config.persons, shuffled)),
+        diff_out=args.diff_out,
+        vacuity=unshuffled,
     )
-    for run in result.runs:
-        status = "identical" if run.matches_baseline else "DIVERGED"
-        print(f"PYTHONHASHSEED={run.hash_seed}: {status}")
-    if args.diff_out is not None:
-        result.write_diff(args.diff_out)
-        if result.diff:
-            print(f"wrote divergence diff to {args.diff_out}")
-    if result.ok:
-        print(f"hash-order sanitizer: {len(result.runs)} seeds byte-identical")
-        return 0
-    print(
-        "hash-order sanitizer: output depends on PYTHONHASHSEED "
-        f"(diverging seeds: {result.divergent_seeds})",
-        file=sys.stderr,
-    )
-    return 1
+    print(f"shuffled dispatches: {', '.join(sorted(shuffled)) or 'none'}")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

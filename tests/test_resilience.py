@@ -18,6 +18,7 @@ import pytest
 from repro.blocking.mfiblocks import MFIBlocks, MFIBlocksConfig
 from repro.core import PipelineConfig, UncertainERPipeline
 from repro.datagen import build_corpus
+from repro.gates import GateConfig, run_gate
 from repro.mining.fpgrowth import maximal_frequent_itemsets
 from repro.obs import Tracer
 from repro.obs.clock import ManualClock
@@ -36,12 +37,13 @@ from repro.resilience import (
     StageBudget,
     canonical_digest,
     chain_fingerprint,
+    chaos,
     corrupt_csv_rows,
     exhausting_budget,
     gc_checkpoints,
     truncate_file,
 )
-from repro.resilience.chaos import SCENARIOS, ChaosConfig, run_chaos
+from repro.resilience.chaos import SCENARIOS
 
 
 @pytest.fixture(scope="module")
@@ -455,37 +457,73 @@ class TestFaults:
 class TestChaosScenarios:
     """Each chaos invariant, exercised once on a small corpus."""
 
-    CONFIG = ChaosConfig(seeds=(0,), persons=20)
+    PERSONS = 20
+
+    def run_scenario(self, name, seed, workdir):
+        oracle, variants = SCENARIOS[name](self.PERSONS, seed, workdir)
+        return run_gate(name, oracle, variants, workdir)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_holds(self, tmp_path, name):
-        outcome = SCENARIOS[name](self.CONFIG, 0, tmp_path)
-        assert outcome.ok, outcome.detail
+        result = self.run_scenario(name, 0, tmp_path)
+        assert result.runs
+        assert result.ok, [run for run in result.runs if not run.ok]
 
     def test_worker_crash_scenario_retries_and_matches_serial(self, tmp_path):
         """The seed retargets the kill to a later parallel dispatch and
         the invariant still holds: chunks retried, bytes unchanged."""
-        outcome = SCENARIOS["worker-crash"](self.CONFIG, 1, tmp_path)
-        assert outcome.ok, outcome.detail
-        assert "worker killed at dispatch 1" in outcome.detail
-        assert "retried in-process" in outcome.detail
-        assert "byte-identical" in outcome.detail
+        result = self.run_scenario("worker-crash", 1, tmp_path)
+        assert result.oracle == "serial"
+        assert [(run.label, run.status) for run in result.runs] == [
+            ("worker killed at dispatch 1", "identical")
+        ]
 
     def test_run_chaos_keeps_artifacts_dir(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"
-        config = ChaosConfig(
-            seeds=(0,), scenario="budget", persons=20,
-            artifacts_dir=artifacts,
-        )
-        assert run_chaos(config) == 0
-        assert artifacts.is_dir()
+        assert chaos.main([
+            "--seed", "0", "--scenario", "budget", "--persons", "20",
+            "--artifacts-dir", str(artifacts),
+        ]) == 0
+        assert (artifacts / "budget-seed0").is_dir()
         out = capsys.readouterr().out
-        assert "budget" in out and "ok" in out
+        assert "budget-seed0: ok" in out
 
-    def test_chaos_config_validation(self):
+    def test_planted_divergence_fails_with_patch_and_kept_artifacts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A byte gate whose variant diverges: exit 1, a .patch artifact
+        naming the oracle and the variant, the artifacts dir kept."""
+        real = chaos.ranked_text
+        calls = []
+
+        def planted(resolution):
+            calls.append(None)
+            text = real(resolution)
+            return text + "planted,row,0.0,\n" if len(calls) == 3 else text
+
+        monkeypatch.setattr(chaos, "ranked_text", planted)
+        artifacts = tmp_path / "artifacts"
+        assert chaos.main([
+            "--scenario", "crash-resume", "--persons", "20",
+            "--artifacts-dir", str(artifacts),
+        ]) == 1
+        workdir = artifacts / "crash-resume-seed0"
+        patch = (workdir / "divergence.patch").read_text()
+        assert "--- uninterrupted" in patch
+        assert "+++ resumed after" in patch
+        assert "+planted,row,0.0," in patch
+        assert (workdir / "divergent.txt").is_file()
+        assert list(workdir.glob("checkpoints-*"))
+        captured = capsys.readouterr()
+        assert "crash-resume-seed0: FAILED" in captured.out
+        assert f"artifacts kept in {artifacts}" in captured.err
+
+    def test_chaos_config_validation(self, capsys):
         with pytest.raises(ValueError):
-            ChaosConfig(seeds=())
-        with pytest.raises(ValueError):
-            ChaosConfig(corrupt_fraction=0.0)
-        with pytest.raises(ValueError):
-            ChaosConfig(scenario="nope")
+            GateConfig(seeds=())
+        assert chaos.main(["--seed", ","]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert chaos.main(["--persons", "1"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            chaos.main(["--scenario", "nope"])
+        assert excinfo.value.code == 2

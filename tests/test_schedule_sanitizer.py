@@ -1,30 +1,31 @@
 """Tests for the adversarial-schedule sanitizer (``--schedule``).
 
 Three layers: the :class:`AdversarialScheduleExecutor` itself (hostile
-order, submission-order results, seeded determinism), the
-``run_schedule_sanitize`` comparison logic through a fake runner, and
-one small in-process end-to-end run proving the real pipeline stays
-byte-identical under hostile schedules.
+order, submission-order results, seeded determinism), how the schedule
+gates build their cells (through a fake runner; the compare/diff/exit
+loop is the shared harness's, tests/test_gates.py), and one small
+in-process end-to-end run proving the real pipeline stays
+byte-identical under hostile schedules, with tracing on, and through
+the classifier's rank merge.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import main as cli_main
+from repro.gates import GateConfig, run_gate, run_gates
 from repro.parallel import (
     AdversarialScheduleExecutor,
     SerialExecutor,
 )
 from repro.sanitize import (
-    SCORING_DISPATCH,
-    ScheduleConfig,
-    ScheduleResult,
-    ScheduleRun,
-    inprocess_schedule_runner,
-    run_schedule_sanitize,
+    SCORING_DISPATCHES,
+    Cell,
+    build_parser,
+    inprocess_runner,
+    main as sanitize_main,
+    schedule_gates,
 )
 
 
@@ -104,139 +105,167 @@ class TestAdversarialScheduleExecutor:
         assert len(executor.plan_chunks(list(range(9)))) == 3
 
 
+def schedule_config(args=()):
+    from repro.sanitize import _config
+
+    return _config(build_parser().parse_args(["--schedule", *args]))
+
+
+def run_schedule(config, runner, workdir):
+    results = []
+    for gate in schedule_gates(config, runner):
+        oracle, variants = gate.build(workdir / gate.name)
+        results.append(
+            run_gate(gate.name, oracle, variants, workdir / gate.name)
+        )
+    return results
+
+
 class TestScheduleConfig:
     def test_defaults_are_valid(self):
-        config = ScheduleConfig()
-        assert config.schedule_seeds == (1, 2, 3)
-        assert config.worker_counts == (1, 2, 4)
+        config = schedule_config()
+        assert config.persons == 120
+        assert config.seeds == (1, 2, 3)
+        assert config.workers == (1, 2, 4)
 
-    def test_rejects_tiny_corpus(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(persons=1)
+    def test_rejects_tiny_corpus(self, capsys):
+        assert sanitize_main(["--schedule", "--persons", "1"]) == 2
+        assert "persons" in capsys.readouterr().err
 
     def test_rejects_empty_seed_list(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(schedule_seeds=())
+        with pytest.raises(ValueError, match="--schedule-seeds"):
+            schedule_config(["--schedule-seeds", "0"])
 
     def test_rejects_bad_worker_counts(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(worker_counts=(2, 0))
+        with pytest.raises(ValueError, match="worker counts"):
+            schedule_config(["--schedule-workers", "2,0"])
 
 
 class TestRunScheduleSanitizeWithFakeRunner:
-    def test_identical_outputs_pass(self):
+    def test_identical_outputs_pass(self, tmp_path):
         calls = []
 
-        def runner(seed, workers):
-            calls.append((seed, workers))
+        def runner(cell):
+            calls.append(cell)
             return "header\nrow\n"
 
-        config = ScheduleConfig(
-            schedule_seeds=(1, 2), worker_counts=(1, 2)
-        )
-        result = run_schedule_sanitize(config, runner=runner)
-        assert result.ok
-        assert result.diff is None
-        # Baseline first (serial reference), then the full matrix.
+        config = GateConfig(seeds=(1, 2), workers=(1, 2))
+        plain, classified = run_schedule(config, runner, tmp_path)
+        assert plain.ok and classified.ok
+        assert plain.diff is None
+        # Serial oracle first, then the seed x workers matrix, then the
+        # traced cells; the classified gate's oracle, then one hostile
+        # classified cell per seed at the widest worker count.
         assert calls == [
-            (None, 1), (1, 1), (1, 2), (2, 1), (2, 2)
+            Cell(), Cell(1, 1), Cell(1, 2), Cell(2, 1), Cell(2, 2),
+            Cell(None, 1, traced=True), Cell(None, 2, traced=True),
+            Cell(classify=True), Cell(1, 2, classify=True),
+            Cell(2, 2, classify=True),
         ]
-        assert len(result.runs) == 4
+        assert [r.label for r in plain.runs][-2:] == [
+            "traced workers=1", "traced workers=2"
+        ]
+        assert classified.oracle == "classified serial"
 
-    def test_divergent_cell_detected_with_diff(self):
-        def runner(seed, workers):
-            if seed == 2 and workers == 4:
+    def test_divergent_cell_detected_with_diff(self, tmp_path):
+        def runner(cell):
+            if cell.seed == 2 and cell.workers == 4:
                 return "header\nother\n"
             return "header\nrow\n"
 
-        config = ScheduleConfig(
-            schedule_seeds=(1, 2), worker_counts=(1, 4)
-        )
-        result = run_schedule_sanitize(config, runner=runner)
-        assert not result.ok
-        assert result.divergent_cells == [(2, 4)]
-        assert result.diff is not None
-        assert "schedule_seed=2 workers=4" in result.diff
-        assert "+other" in result.diff
+        config = GateConfig(seeds=(1, 2), workers=(1, 4))
+        plain, classified = run_schedule(config, runner, tmp_path)
+        assert [r.label for r in plain.runs if not r.ok] == [
+            "schedule_seed=2 workers=4"
+        ]
+        assert "--- serial" in plain.diff
+        assert "+++ schedule_seed=2 workers=4" in plain.diff
+        assert "+other" in plain.diff
+        assert [r.label for r in classified.runs if not r.ok] == [
+            "classified schedule_seed=2 workers=4"
+        ]
 
-    def test_diff_keeps_first_divergence(self):
-        def runner(seed, workers):
-            if seed is None:
-                return "base\n"
-            return f"seed{seed}\n"
+    def test_diff_keeps_first_divergence(self, tmp_path):
+        def runner(cell):
+            return "base\n" if cell.seed is None else f"seed{cell.seed}\n"
 
-        config = ScheduleConfig(schedule_seeds=(1, 2), worker_counts=(1,))
-        result = run_schedule_sanitize(config, runner=runner)
-        assert result.divergent_cells == [(1, 1), (2, 1)]
-        assert "+seed1" in result.diff
-        assert "+seed2" not in result.diff
+        config = GateConfig(seeds=(1, 2), workers=(1,))
+        plain, _ = run_schedule(config, runner, tmp_path)
+        assert [r.status for r in plain.runs] == [
+            "DIVERGED", "DIVERGED", "identical", "identical"
+        ]
+        assert "+seed1" in plain.diff
+        assert "+seed2" not in plain.diff
 
-    def test_write_diff(self, tmp_path: Path):
-        result = ScheduleResult(baseline_output="x\n", diff="the diff")
-        result.runs.append(
-            ScheduleRun(
-                schedule_seed=1, workers=2,
-                matches_baseline=False, n_lines=1,
-            )
-        )
+    def test_write_diff(self, tmp_path):
+        def runner(cell):
+            return "x\n" if cell.seed is None else "y\n"
+
         out = tmp_path / "schedule.diff"
-        result.write_diff(out)
-        assert out.read_text(encoding="utf-8") == "the diff"
+        config = GateConfig(seeds=(1,), workers=(2,))
+        gates = schedule_gates(config, runner)
+        assert run_gates(
+            "repro sanitize", gates, artifacts_dir=tmp_path / "artifacts",
+            diff_out=out,
+        ) == 1
+        diff = out.read_text(encoding="utf-8")
+        assert "--- serial" in diff
+        assert "+++ schedule_seed=1 workers=2" in diff
+        assert diff == (
+            tmp_path / "artifacts" / "schedule" / "divergence.patch"
+        ).read_text(encoding="utf-8")
 
 
 class TestEndToEnd:
-    def test_small_resolution_schedule_invariant(self):
+    def test_small_resolution_schedule_invariant(self, tmp_path):
         # One hostile seed over two worker counts on the default corpus,
         # the smallest that dispatches pair scoring; the full 3x{1,2,4}
         # matrix runs in CI via `repro sanitize --schedule`.
-        config = ScheduleConfig(schedule_seeds=(1,), worker_counts=(1, 2))
+        config = GateConfig(persons=120, seeds=(1,), workers=(1, 2))
         shuffled = set()
-        result = run_schedule_sanitize(
-            config, runner=inprocess_schedule_runner(config, shuffled)
+        plain, classified = run_schedule(
+            config, inprocess_runner(config.persons, shuffled), tmp_path
         )
-        assert result.ok, result.diff
-        assert result.baseline_output.startswith(
-            "book_id_a,book_id_b,similarity\n"
+        assert plain.ok, plain.diff
+        assert classified.ok, classified.diff
+        assert plain.text.startswith(
+            "book_id_a,book_id_b,similarity,confidence\n"
         )
-        assert len(result.runs) == 2
-        # The scoring max-merge really ran in a hostile order, not just
+        # Two hostile cells and the two traced cells; one classified.
+        assert len(plain.runs) == 4
+        assert len(classified.runs) == 1
+        # Both scoring merges really ran in a hostile order, not just
         # the mining shards.
-        assert shuffled == {SCORING_DISPATCH, "fpgrowth.shards"}
+        assert shuffled == {*SCORING_DISPATCHES, "fpgrowth.shards"}
 
-    def test_tiny_corpus_never_shuffles_scoring(self):
-        config = ScheduleConfig(
-            persons=16, schedule_seeds=(1,), worker_counts=(2,)
-        )
+    def test_tiny_corpus_never_shuffles_scoring(self, tmp_path):
+        config = GateConfig(persons=16, seeds=(1,), workers=(2,))
         shuffled = set()
-        assert run_schedule_sanitize(
-            config, runner=inprocess_schedule_runner(config, shuffled)
-        ).ok
-        assert SCORING_DISPATCH not in shuffled
+        results = run_schedule(
+            config, inprocess_runner(config.persons, shuffled), tmp_path
+        )
+        assert all(result.ok for result in results)
+        assert not shuffled & set(SCORING_DISPATCHES)
 
     def test_cli_refuses_a_sweep_that_shuffled_no_scoring(self, capsys):
-        from repro.sanitize import main as sanitize_main
-
         assert sanitize_main(
             [
                 "--schedule", "--schedule-seeds", "1",
                 "--schedule-workers", "2", "--persons", "16",
             ]
         ) == 2
-        assert SCORING_DISPATCH in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(dispatch in err for dispatch in SCORING_DISPATCHES)
 
 
 class TestCommandLine:
     def test_bad_schedule_workers_exit_2(self, capsys):
-        from repro.sanitize import main as sanitize_main
-
         assert sanitize_main(
             ["--schedule", "--schedule-workers", "two"]
         ) == 2
         assert "comma-separated" in capsys.readouterr().err
 
     def test_bad_schedule_seeds_exit_2(self, capsys):
-        from repro.sanitize import main as sanitize_main
-
         assert sanitize_main(
             ["--schedule", "--schedule-seeds", "0"]
         ) == 2
@@ -251,15 +280,9 @@ class TestCommandLine:
         import repro.sanitize
 
         monkeypatch.setattr(repro.sanitize, "main", fake_main)
-        exit_code = cli_main(
-            [
-                "sanitize", "--schedule", "--schedule-seeds", "2",
-                "--schedule-workers", "1,2", "--persons", "24",
-            ]
-        )
-        assert exit_code == 0
-        argv = received["argv"]
-        assert "--schedule" in argv
-        assert argv[argv.index("--schedule-seeds") + 1] == "2"
-        assert argv[argv.index("--schedule-workers") + 1] == "1,2"
-        assert argv[argv.index("--persons") + 1] == "24"
+        argv = [
+            "--schedule", "--schedule-seeds", "2",
+            "--schedule-workers", "1,2", "--persons", "24",
+        ]
+        assert cli_main(["sanitize", *argv]) == 0
+        assert received["argv"] == argv
