@@ -36,9 +36,10 @@ from repro.parallel.merge import merge_scored_chunks
 from repro.parallel.shared import publish_shared_state
 from repro.parallel.work import classify_pair_chunk
 from repro.records.dataset import Dataset
+from repro.records.schema import VictimRecord
 from repro.similarity.features import (
     FeatureVector,
-    extract_features,
+    extract_features,  # noqa: F401 - the e2e probes patch it by this name
     extract_features_batch,
 )
 
@@ -93,9 +94,7 @@ def pair_features(
     names: Optional[Tuple[str, ...]] = None,
 ) -> List[FeatureVector]:
     """Extract the 48 (or a subset of) features for each candidate pair."""
-    return [
-        extract_features(dataset[a], dataset[b], names=names) for a, b in pairs
-    ]
+    return extract_features_batch(dataset, list(pairs), names=names)
 
 
 @seeded(param="seed")
@@ -201,14 +200,24 @@ class PairClassifier:
             raise RuntimeError("classifier is not fitted; call fit() first")
         return self.model
 
-    def score_pair(self, pair: Pair) -> float:
-        """ADTree confidence for one pair (positive leans match)."""
+    def confidences(
+        self,
+        pairs: Sequence[Pair],
+        records: Optional[Mapping[int, VictimRecord]] = None,
+    ) -> List[float]:
+        """ADTree confidence per pair, in order (positive leans match).
+
+        Features come from one batch extractor call; ``records`` resolves
+        ids that are not in the training dataset (streaming ingestion
+        passes the live store plus its staged batch).
+        """
         model = self._require_model()
-        a, b = pair
-        vector = extract_features(
-            self.dataset[a], self.dataset[b], names=self.feature_names
+        vectors = extract_features_batch(
+            self.dataset if records is None else records,
+            pairs,
+            names=self.feature_names,
         )
-        return model.score(vector)
+        return [model.score(vector) for vector in vectors]
 
     @ordered_output
     def rank(
@@ -218,36 +227,26 @@ class PairClassifier:
     ) -> List[Tuple[Pair, float]]:
         """Pairs sorted by descending confidence — the ranked resolution.
 
-        Features come from the batch extractor, which is value-identical
-        to ``extract_features`` per pair. With a parallel ``executor``
-        and at least :data:`MIN_DISPATCH_PAIRS` unique pairs, the
-        dataset and model are published once and chunks of
-        ``(handle.ref, pairs)`` are scored by :func:`classify_pair_chunk`
-        in workers. The final sort imposes the canonical order either
-        way, so output is byte-identical across worker counts
-        (docs/PARALLELISM.md).
+        Serially the scores come from :meth:`confidences`. With a
+        parallel ``executor`` and at least :data:`MIN_DISPATCH_PAIRS`
+        unique pairs, the dataset and model are published once and
+        chunks of ``(handle.ref, pairs)`` are scored by
+        :func:`classify_pair_chunk` in workers. The final sort imposes
+        the canonical order either way, so output is byte-identical
+        across worker counts (docs/PARALLELISM.md).
         """
         with self.tracer.span("classify.rank"):
             unique = sorted(set(pairs))
             scored: List[Tuple[Pair, float]] = []
             if unique:
-                model = self._require_model()
                 if (
                     executor is not None
                     and executor.parallel
                     and len(unique) >= MIN_DISPATCH_PAIRS
                 ):
-                    scored = list(
-                        self._rank_parallel(unique, model, executor).items()
-                    )
+                    scored = list(self._rank_parallel(unique, executor).items())
                 else:
-                    vectors = extract_features_batch(
-                        self.dataset, unique, names=self.feature_names
-                    )
-                    scored = [
-                        (pair, model.score(vector))
-                        for pair, vector in zip(unique, vectors)
-                    ]
+                    scored = list(zip(unique, self.confidences(unique)))
                 scored.sort(key=lambda kv: (-kv[1], kv[0]))
         self.tracer.count("classify.pairs_scored", len(scored))
         return scored
@@ -255,13 +254,12 @@ class PairClassifier:
     def _rank_parallel(
         self,
         unique: List[Pair],
-        model: ADTreeModel,
         executor: Executor,
     ) -> Dict[Pair, float]:
         """Score rank chunks in workers against one publication."""
         with publish_shared_state(
             dataset=self.dataset,
-            model=model,
+            model=self._require_model(),
             feature_names=self.feature_names,
         ) as handle:
             return merge_scored_chunks(

@@ -12,7 +12,7 @@ that mirrors MFIBlocks' semantics without re-mining:
   constraint;
 * pair similarity comes from the same block scorer, and the trained
   ADTree (when present) re-ranks and filters exactly as in the batch
-  pipeline.
+  pipeline, scoring every surviving candidate of a batch in one call.
 
 The resulting evidence is merged into the live resolution, so certainty
 queries immediately see the new record.
@@ -45,7 +45,8 @@ calls — the property the WAL replay and the chaos scenarios pin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import ChainMap
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Dict,
@@ -70,7 +71,9 @@ from repro.records.schema import VictimRecord
 from repro.resilience.checkpoints import chain_fingerprint
 from repro.resilience.quarantine import Quarantine, QuarantinePolicy
 from repro.resilience.wal import WriteAheadLog
-from repro.similarity.features import extract_features
+from repro.similarity.features import (
+    extract_features,  # noqa: F401 - the e2e probes patch it by this name
+)
 
 __all__ = ["BatchResult", "IncrementalResolver", "RecoveryReport"]
 
@@ -341,8 +344,9 @@ class IncrementalResolver:
 
         Scoring is read-only against the store; records see earlier
         batch members through a staged overlay, which keeps the result
-        identical to sequential single adds. Only after every record is
-        scored does the commit loop mutate the resolver, so a scoring
+        identical to sequential single adds. The classifier then scores
+        every surviving candidate of the batch in one call. Only after
+        that does the commit loop mutate the resolver, so a scoring
         failure anywhere aborts the batch with the store untouched —
         the in-memory half of atomic-at-the-batch. This replays
         committed WAL batches too, hence no WAL writes here.
@@ -350,7 +354,7 @@ class IncrementalResolver:
         staged_records: Dict[int, VictimRecord] = {}
         staged_bags: Dict[int, FrozenSet[Item]] = {}
         staged_index: Dict[Item, Set[int]] = {}
-        produced_all: List[PairEvidence] = []
+        scored: List[Tuple[Pair, PairEvidence]] = []
         dirty: Set[Item] = set()
         candidates_scored = 0
         for record in accepted:
@@ -358,7 +362,7 @@ class IncrementalResolver:
             dirty |= items
             candidates = self._candidates(items, staged_index)
             candidates_scored += len(candidates)
-            produced_all.extend(
+            scored.extend(
                 self._score_candidates(
                     record, items, candidates, staged_records, staged_bags
                 )
@@ -367,6 +371,9 @@ class IncrementalResolver:
             staged_bags[record.book_id] = items
             for item in items:
                 staged_index.setdefault(item, set()).add(record.book_id)
+        produced_all = self._classify(
+            scored, ChainMap(staged_records, self._records)
+        )
 
         for record in accepted:
             rid = record.book_id
@@ -407,13 +414,16 @@ class IncrementalResolver:
         candidates: Iterable[int],
         staged_records: Optional[Mapping[int, VictimRecord]] = None,
         staged_bags: Optional[Mapping[int, FrozenSet[Item]]] = None,
-    ) -> List[PairEvidence]:
+    ) -> List[Tuple[Pair, PairEvidence]]:
         """Evidence the new record produces against store + staged overlay.
 
-        Read-only with respect to the resolver state: the atomicity of
-        :meth:`add_record` / :meth:`add_records` depends on it.
+        Each row that clears the similarity floor comes with its
+        ``(candidate, new record)`` id pair, the order the classifier
+        reads the two records in. Read-only with respect to the resolver
+        state: the atomicity of :meth:`add_record` / :meth:`add_records`
+        depends on it.
         """
-        produced: List[PairEvidence] = []
+        produced: List[Tuple[Pair, PairEvidence]] = []
         for rid in candidates:
             other = self._records.get(rid)
             if other is None and staged_records is not None:
@@ -432,23 +442,36 @@ class IncrementalResolver:
             similarity = self._scorer.pair_similarity(items, other_bag)
             if similarity < self.min_pair_similarity:
                 continue
-            confidence = None
-            if self.classifier is not None and self.config.classify:
-                model = self.classifier.model
-                if model is None:
-                    raise RuntimeError("classifier is not fitted")
-                vector = extract_features(other, record)
-                confidence = model.score(vector)
-                if confidence <= self.config.classifier_threshold:
-                    continue
             evidence = PairEvidence(
                 pair=pair,
                 similarity=similarity,
-                confidence=confidence,
                 same_source=(other.source.key == record.source.key),
             )
-            produced.append(evidence)
+            produced.append(((rid, record.book_id), evidence))
         return produced
+
+    def _classify(
+        self,
+        scored: Sequence[Tuple[Pair, PairEvidence]],
+        records: Mapping[int, VictimRecord],
+    ) -> List[PairEvidence]:
+        """Attach ADTree confidences and drop rows at or under the threshold.
+
+        Without a classifier the rows pass through unchanged. Otherwise
+        one batch call scores them all, in order, with ``records``
+        resolving both the store and the staged batch.
+        """
+        if self.classifier is None or not self.config.classify:
+            return [evidence for _pair, evidence in scored]
+        confidences = self.classifier.confidences(
+            [pair for pair, _evidence in scored], records
+        )
+        threshold = self.config.classifier_threshold
+        return [
+            replace(evidence, confidence=confidence)
+            for (_pair, evidence), confidence in zip(scored, confidences)
+            if confidence > threshold
+        ]
 
     # -- internals ---------------------------------------------------------------
 

@@ -94,9 +94,10 @@ def classify_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
     """ADTree confidences for one chunk of candidate pairs.
 
     Dataset, model and feature-name subset come from the published
-    shared state. The batch extractor is value-identical to
-    ``extract_features`` per pair, so the confidences match
-    ``PairClassifier.score_pair`` exactly.
+    shared state. Its last two statements repeat
+    ``PairClassifier.confidences`` (``classify.training`` imports this
+    module, not the reverse), so the confidences match the serial rank
+    exactly.
     """
     ref, pairs = payload
     state = shared_state(ref)

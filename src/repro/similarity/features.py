@@ -36,6 +36,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -453,36 +454,36 @@ def extract_features(
 # scalar helper itself and the integer date math is exact in float64,
 # so each column is equal per pair to the scalar extractor; the
 # property suite in ``tests/test_batch_kernels.py`` pins this.
+#
+# Memory stays close to the scalar loop's: a column's per-record
+# artifacts live only while that column is built, and the value memos
+# are dropped before the per-pair vectors are assembled.
 
 _MemoKey = Tuple[object, ...]
 
 
 class _BatchFeatureExtractor:
-    """One batch call's per-record artifacts and value-pair memos."""
+    """One batch call's records and value-pair memos."""
 
-    __slots__ = ("pairs", "records", "_record_memo", "_value_memo")
+    __slots__ = ("pairs", "records", "_value_memo")
 
-    def __init__(self, dataset: "Dataset", pairs: Sequence[Tuple[str, str]]):
+    def __init__(
+        self,
+        dataset: "Union[Dataset, Mapping[int, VictimRecord]]",
+        pairs: Sequence[Tuple[str, str]],
+    ):
         self.pairs = pairs
         self.records: Dict[str, VictimRecord] = {
             rid: dataset[rid]
             for rid in sorted({rid for pair in pairs for rid in pair})
         }
-        self._record_memo: Dict[_MemoKey, object] = {}
         self._value_memo: Dict[_MemoKey, object] = {}
 
     def per_record(
-        self,
-        tag: _MemoKey,
-        rid: str,
-        build: Callable[[VictimRecord], object],
-    ) -> object:
-        key = tag + (rid,)
-        try:
-            return self._record_memo[key]
-        except KeyError:
-            value = self._record_memo[key] = build(self.records[rid])
-            return value
+        self, build: Callable[[VictimRecord], object]
+    ) -> Dict[str, object]:
+        """``build`` applied once to every record of the batch, by id."""
+        return {rid: build(record) for rid, record in self.records.items()}
 
     def best_metric(
         self,
@@ -534,16 +535,15 @@ _ColumnBuilder = Callable[[_BatchFeatureExtractor], List[FeatureValue]]
 
 
 def _batch_same_name(attribute: str) -> _ColumnBuilder:
-    tag: _MemoKey = ("nameset", attribute)
-
     def build(record: VictimRecord) -> object:
         return set(record.names(attribute))
 
     def column(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+        name_sets = ex.per_record(build)
         out: List[FeatureValue] = []
         for a, b in ex.pairs:
-            names_a = ex.per_record(tag, a, build)
-            names_b = ex.per_record(tag, b, build)
+            names_a = name_sets[a]
+            names_b = name_sets[b]
             if not names_a or not names_b:
                 out.append(None)
             elif names_a == names_b:
@@ -568,16 +568,15 @@ def _lowered_jaro_winkler(x: str, y: str) -> float:
 def _batch_name_metric(
     attribute: str, tag: str, metric: Callable[[str, str], float]
 ) -> _ColumnBuilder:
-    names_tag: _MemoKey = ("names", attribute)
-
     def build(record: VictimRecord) -> object:
         return record.names(attribute)
 
     def column(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+        names = ex.per_record(build)
         out: List[FeatureValue] = []
         for a, b in ex.pairs:
-            names_a = ex.per_record(names_tag, a, build)
-            names_b = ex.per_record(names_tag, b, build)
+            names_a = names[a]
+            names_b = names[b]
             if not names_a or not names_b:
                 out.append(None)
             else:
@@ -590,8 +589,6 @@ def _batch_name_metric(
 
 
 def _batch_name_soundex(attribute: str) -> _ColumnBuilder:
-    tag: _MemoKey = ("soundex", attribute)
-
     def build(record: VictimRecord) -> object:
         names = record.names(attribute)
         if not names:
@@ -599,10 +596,11 @@ def _batch_name_soundex(attribute: str) -> _ColumnBuilder:
         return {soundex(name) for name in names}
 
     def column(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+        codes = ex.per_record(build)
         out: List[FeatureValue] = []
         for a, b in ex.pairs:
-            codes_a = ex.per_record(tag, a, build)
-            codes_b = ex.per_record(tag, b, build)
+            codes_a = codes[a]
+            codes_b = codes[b]
             if codes_a is None or codes_b is None:
                 out.append(None)
             else:
@@ -660,9 +658,6 @@ def _batch_birth_component(component: str) -> _ColumnBuilder:
     return column
 
 
-_DOB_TAG: _MemoKey = ("dob",)
-
-
 def _dob_triple(record: VictimRecord) -> object:
     return (record.birth_year, record.birth_month, record.birth_day)
 
@@ -672,9 +667,10 @@ def _batch_full_dob(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
     days_a = np.zeros(count, dtype=np.int64)
     days_b = np.zeros(count, dtype=np.int64)
     valid = np.zeros(count, dtype=bool)
+    triples = ex.per_record(_dob_triple)
     for index, (a, b) in enumerate(ex.pairs):
-        year_a, month_a, day_a = ex.per_record(_DOB_TAG, a, _dob_triple)  # type: ignore[misc]
-        year_b, month_b, day_b = ex.per_record(_DOB_TAG, b, _dob_triple)  # type: ignore[misc]
+        year_a, month_a, day_a = triples[a]  # type: ignore[misc]
+        year_b, month_b, day_b = triples[b]  # type: ignore[misc]
         if None in (year_a, year_b, month_a, month_b, day_a, day_b):
             continue
         valid[index] = True
@@ -692,8 +688,6 @@ def _batch_full_dob(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
 def _batch_same_place_part(
     place_type: PlaceType, part: PlacePart
 ) -> _ColumnBuilder:
-    tag: _MemoKey = ("placepart", place_type, part)
-
     def build(record: VictimRecord) -> object:
         return {
             place.part(part)
@@ -702,10 +696,11 @@ def _batch_same_place_part(
         }
 
     def column(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+        parts = ex.per_record(build)
         out: List[FeatureValue] = []
         for a, b in ex.pairs:
-            parts_a = ex.per_record(tag, a, build)
-            parts_b = ex.per_record(tag, b, build)
+            parts_a = parts[a]
+            parts_b = parts[b]
             if not parts_a or not parts_b:
                 out.append(None)
             else:
@@ -718,8 +713,6 @@ def _batch_same_place_part(
 
 
 def _batch_geo_dist(place_type: PlaceType) -> _ColumnBuilder:
-    tag: _MemoKey = ("coords", place_type)
-
     def build(record: VictimRecord) -> object:
         return tuple(
             place.coords
@@ -728,10 +721,11 @@ def _batch_geo_dist(place_type: PlaceType) -> _ColumnBuilder:
         )
 
     def column(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+        coords = ex.per_record(build)
         out: List[FeatureValue] = []
         for a, b in ex.pairs:
-            coords_a = ex.per_record(tag, a, build)
-            coords_b = ex.per_record(tag, b, build)
+            coords_a = coords[a]
+            coords_b = coords[b]
             if not coords_a or not coords_b:
                 out.append(None)
             else:
@@ -779,19 +773,16 @@ def _batch_same_profession(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
     return out
 
 
-_ITEMS_TAG: _MemoKey = ("items",)
-_PATTERN_TAG: _MemoKey = ("pattern",)
-
-
 def _record_pattern(record: VictimRecord) -> object:
     return record.pattern()
 
 
 def _batch_item_jaccard(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+    bags = ex.per_record(record_to_items)
     out: List[FeatureValue] = []
     for a, b in ex.pairs:
-        items_a = ex.per_record(_ITEMS_TAG, a, record_to_items)
-        items_b = ex.per_record(_ITEMS_TAG, b, record_to_items)
+        items_a = bags[a]
+        items_b = bags[b]
         inter = len(items_a & items_b)  # type: ignore[operator]
         union = len(items_a) + len(items_b) - inter  # type: ignore[arg-type]
         out.append(inter / union if union else None)
@@ -799,22 +790,19 @@ def _batch_item_jaccard(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
 
 
 def _batch_n_shared_items(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+    bags = ex.per_record(record_to_items)
     return [
-        float(
-            len(
-                ex.per_record(_ITEMS_TAG, a, record_to_items)
-                & ex.per_record(_ITEMS_TAG, b, record_to_items)  # type: ignore[operator]
-            )
-        )
+        float(len(bags[a] & bags[b]))  # type: ignore[operator]
         for a, b in ex.pairs
     ]
 
 
 def _batch_pattern_overlap(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
+    patterns = ex.per_record(_record_pattern)
     out: List[FeatureValue] = []
     for a, b in ex.pairs:
-        pattern_a = ex.per_record(_PATTERN_TAG, a, _record_pattern)
-        pattern_b = ex.per_record(_PATTERN_TAG, b, _record_pattern)
+        pattern_a = patterns[a]
+        pattern_b = patterns[b]
         inter = len(pattern_a & pattern_b)  # type: ignore[operator]
         union = len(pattern_a) + len(pattern_b) - inter  # type: ignore[arg-type]
         out.append(inter / union if union else None)
@@ -859,7 +847,7 @@ if set(_BATCH_COLUMNS) != set(FEATURE_NAMES):  # pragma: no cover - invariant
 
 @batch_kernel
 def extract_features_batch(
-    dataset: "Dataset",
+    dataset: "Union[Dataset, Mapping[int, VictimRecord]]",
     pairs: Sequence[Tuple[str, str]],
     names: Optional[Tuple[str, ...]] = None,
 ) -> List[FeatureVector]:
@@ -867,9 +855,8 @@ def extract_features_batch(
 
     Returns one :data:`FeatureVector` per pair, in pair order, with the
     keys in the same (selected-spec) order the scalar extractor uses.
-    A feature absent from the batch registry falls back to its scalar
-    ``extract`` per pair, so subset selection via ``names`` behaves
-    identically — including the ``ValueError`` on unknown names.
+    Subset selection via ``names`` behaves identically — including the
+    ``ValueError`` on unknown names.
     """
     selected = FEATURES if names is None else tuple(
         feature_spec(name) for name in names
@@ -878,17 +865,9 @@ def extract_features_batch(
     if not pair_list:
         return []
     extractor = _BatchFeatureExtractor(dataset, pair_list)
-    columns: List[List[FeatureValue]] = []
-    for spec in selected:
-        builder = _BATCH_COLUMNS.get(spec.name)
-        if builder is None:
-            records = extractor.records
-            columns.append(
-                [spec.extract(records[a], records[b]) for a, b in pair_list]
-            )
-        else:
-            columns.append(builder(extractor))
-    return [
-        {spec.name: columns[j][index] for j, spec in enumerate(selected)}
-        for index in range(len(pair_list))
-    ]
+    columns = [_BATCH_COLUMNS[spec.name](extractor) for spec in selected]
+    del extractor  # drop the value memos before the vectors are built
+    if not columns:
+        return [{} for _pair in pair_list]
+    keys = [spec.name for spec in selected]
+    return [dict(zip(keys, row)) for row in zip(*columns)]

@@ -7,8 +7,6 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.incremental import IncrementalResolver
 from repro.core.pipeline import UncertainERPipeline
-from repro.records.dataset import Dataset
-from repro.records.schema import PlaceType
 from repro.resilience.faults import SimulatedCrash
 from repro.resilience.quarantine import Quarantine, QuarantinePolicy
 from repro.resilience.wal import WalError, WalFaultPlan, WriteAheadLog
@@ -159,20 +157,11 @@ class TestAtomicity:
         )
 
     def _classified_resolver(self, small_corpus):
-        from repro.classify.training import PairClassifier
-        from repro.datagen import ExpertTagger, simplify_tags
-
         dataset, _persons = small_corpus
-        config = PipelineConfig(ng=3.0, expert_weighting=True, classify=True)
-        blocking = UncertainERPipeline(config).block(dataset)
-        labels = simplify_tags(
-            ExpertTagger(dataset, seed=7).tag_pairs(
-                sorted(blocking.candidate_pairs)
-            ),
-            maybe_as=None,
+        classifier = _train_classifier(dataset)
+        return IncrementalResolver(
+            dataset, _CLASSIFIED_CONFIG, classifier=classifier
         )
-        classifier = PairClassifier(dataset).fit(labels)
-        return IncrementalResolver(dataset, config, classifier=classifier)
 
     def test_unfitted_classifier_leaves_store_untouched(self, small_corpus):
         dataset, _persons = small_corpus
@@ -227,22 +216,80 @@ def _ranked_csv(resolver, path):
 
 
 _CONFIG = PipelineConfig(ng=3.0, expert_weighting=True)
+_CLASSIFIED_CONFIG = PipelineConfig(ng=3.0, expert_weighting=True, classify=True)
+
+
+def _train_classifier(dataset):
+    """An ADTree fitted on expert tags of the dataset's candidate pairs."""
+    from repro.classify.training import PairClassifier
+    from repro.datagen import ExpertTagger, simplify_tags
+
+    blocking = UncertainERPipeline(_CLASSIFIED_CONFIG).block(dataset)
+    labels = simplify_tags(
+        ExpertTagger(dataset, seed=7).tag_pairs(sorted(blocking.candidate_pairs)),
+        maybe_as=None,
+    )
+    return PairClassifier(dataset).fit(labels)
+
+
+@pytest.fixture(scope="module")
+def head_classifier(small_corpus):
+    head, _tail = _split(small_corpus)
+    return _train_classifier(head)
+
+
+@pytest.fixture(params=["unclassified", "classified"])
+def ingest(request):
+    """``(config, resolver kwargs)`` for plain and classified ingestion."""
+    if request.param == "unclassified":
+        return _CONFIG, {}
+    classifier = request.getfixturevalue("head_classifier")
+    return _CLASSIFIED_CONFIG, {"classifier": classifier}
 
 
 class TestBatchIngestion:
     """add_records is the streaming write path: atomic, order-faithful."""
 
-    def test_batch_equals_sequential_adds(self, small_corpus, tmp_path):
+    def test_batch_equals_sequential_adds(self, small_corpus, ingest, tmp_path):
+        config, kwargs = ingest
         head, tail = _split(small_corpus)
-        sequential = IncrementalResolver(head, _CONFIG)
+        sequential = IncrementalResolver(head, config, **kwargs)
         for record in tail:
             sequential.add_record(record)
-        batched = IncrementalResolver(head, _CONFIG)
+        batched = IncrementalResolver(head, config, **kwargs)
         for batch in _batched(tail, 7):
             batched.add_records(batch)
         assert _ranked_csv(sequential, tmp_path / "seq.csv") == _ranked_csv(
             batched, tmp_path / "batch.csv"
         )
+
+    def test_confidences_equal_scalar_oracle(self, small_corpus, head_classifier):
+        """Each classified row scores ``(candidate, new record)`` exactly as
+        the scalar extractor and the model would, one pair at a time."""
+        from repro.similarity.features import extract_features
+
+        head, tail = _split(small_corpus)
+        resolver = IncrementalResolver(
+            head, _CLASSIFIED_CONFIG, classifier=head_classifier
+        )
+        model = head_classifier.model
+        checked = 0
+        for batch in _batched(tail, 7):
+            position = {record.book_id: i for i, record in enumerate(batch)}
+            for evidence in resolver.add_records(batch).produced:
+                first, second = evidence.pair
+                new, candidate = (
+                    (first, second)
+                    if position.get(first, -1) > position.get(second, -1)
+                    else (second, first)
+                )
+                vector = extract_features(
+                    resolver._records[candidate], resolver._records[new]
+                )
+                assert evidence.confidence == model.score(vector)
+                assert evidence.confidence > _CLASSIFIED_CONFIG.classifier_threshold
+                checked += 1
+        assert checked > 0
 
     def test_batch_result_fields(self, small_corpus):
         head, tail = _split(small_corpus)
@@ -290,10 +337,11 @@ class TestBatchIngestion:
 class TestDurability:
     """WAL-backed ingestion: commit is durable, recovery is exact."""
 
-    def test_recover_is_byte_identical(self, small_corpus, tmp_path):
+    def test_recover_is_byte_identical(self, small_corpus, ingest, tmp_path):
+        config, kwargs = ingest
         head, tail = _split(small_corpus)
         durable = IncrementalResolver(
-            head, _CONFIG, wal=WriteAheadLog(tmp_path / "wal")
+            head, config, wal=WriteAheadLog(tmp_path / "wal"), **kwargs
         )
         for batch in _batched(tail, 6):
             durable.add_records(batch)
@@ -301,7 +349,7 @@ class TestDurability:
         durable.wal.close()
 
         recovered, report = IncrementalResolver.recover(
-            tmp_path / "wal", head, _CONFIG
+            tmp_path / "wal", head, config, **kwargs
         )
         assert report.batches_replayed == len(_batched(tail, 6))
         assert report.records_replayed == len(tail)

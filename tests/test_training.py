@@ -6,6 +6,7 @@ import pytest
 
 from repro.classify.adtree import ADTreeModel, PredictionNode
 from repro.classify.boosting import ADTreeLearner
+from repro.classify.printer import render_tree
 from repro.classify.training import (
     EvaluationResult,
     OneVsRestADTree,
@@ -16,6 +17,7 @@ from repro.classify.training import (
     train_test_split,
 )
 from repro.records.dataset import Dataset
+from repro.similarity.features import FEATURE_NAMES, extract_features
 from tests.conftest import make_record
 
 
@@ -109,6 +111,28 @@ class TestPairFeatures:
         vectors = pair_features(pair_dataset, [(1, 2)], names=("sameFN",))
         assert set(vectors[0]) == {"sameFN"}
 
+    @pytest.mark.parametrize(
+        "names", [None, ("LNjw", "sameFN", "B3dist", "itemJaccard"), ()]
+    )
+    def test_equals_scalar_oracle(self, pair_dataset, names):
+        pairs = [
+            (a, b)
+            for a in pair_dataset.record_ids
+            for b in pair_dataset.record_ids
+            if a != b
+        ]
+        expected = [
+            extract_features(pair_dataset[a], pair_dataset[b], names=names)
+            for a, b in pairs
+        ]
+        actual = pair_features(pair_dataset, iter(pairs), names=names)
+        assert repr(actual) == repr(expected)
+        assert list(actual[0]) == list(FEATURE_NAMES if names is None else names)
+
+    def test_unknown_name_raises(self, pair_dataset):
+        with pytest.raises(ValueError, match="unknown feature"):
+            pair_features(pair_dataset, [(1, 2)], names=("sameFN", "noSuch"))
+
 
 class TestPairClassifier:
     def labels(self, dataset):
@@ -125,11 +149,46 @@ class TestPairClassifier:
         classifier = PairClassifier(
             pair_dataset, learner=ADTreeLearner(n_rounds=4)
         ).fit(self.labels(pair_dataset))
-        assert classifier.score_pair((1, 2)) > classifier.score_pair((1, 6))
+        scores = dict(classifier.rank([(1, 2), (1, 6)]))
+        assert scores[(1, 2)] > scores[(1, 6)]
 
     def test_unfitted_raises(self, pair_dataset):
         with pytest.raises(RuntimeError):
-            PairClassifier(pair_dataset).score_pair((1, 2))
+            PairClassifier(pair_dataset).rank([(1, 2)])
+
+    def test_confidences_equal_scalar_oracle(self, pair_dataset):
+        classifier = PairClassifier(
+            pair_dataset, learner=ADTreeLearner(n_rounds=4)
+        ).fit(self.labels(pair_dataset))
+        pairs = [(2, 1), (1, 6), (4, 5)]
+        assert classifier.confidences(pairs) == [
+            classifier.model.score(
+                extract_features(pair_dataset[a], pair_dataset[b])
+            )
+            for a, b in pairs
+        ]
+
+    def test_fit_tree_equals_scalar_feature_fit(self, small_corpus):
+        """The fitted tree is the checkpoint ``classifier`` digest input,
+        so training on batch features must grow the very tree a fit on
+        scalar feature vectors grows."""
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import UncertainERPipeline
+        from repro.datagen import ExpertTagger, simplify_tags
+
+        dataset, _persons = small_corpus
+        config = PipelineConfig(ng=3.0, expert_weighting=True)
+        candidates = sorted(UncertainERPipeline(config).block(dataset).candidate_pairs)
+        labels = simplify_tags(
+            ExpertTagger(dataset, seed=7).tag_pairs(candidates), maybe_as=None
+        )
+        pairs = sorted(labels)
+        scalar_model = ADTreeLearner().fit(
+            [extract_features(dataset[a], dataset[b]) for a, b in pairs],
+            [labels[pair] for pair in pairs],
+        )
+        classifier = PairClassifier(dataset).fit(labels)
+        assert render_tree(classifier.model) == render_tree(scalar_model)
 
     def test_rank_descending(self, pair_dataset):
         classifier = PairClassifier(

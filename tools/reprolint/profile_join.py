@@ -85,7 +85,7 @@ DECLARED_SPAN_SITES: Dict[str, Tuple[str, ...]] = {
         "repro.parallel.work:classify_pair_chunk",
     ),
     "classify.features": (
-        "repro.similarity.features:extract_features",
+        "repro.similarity.features:extract_features_batch",
     ),
 }
 
