@@ -4,7 +4,8 @@
 produced when the fixtures were last regenerated (see
 ``tools/golden_kernels.py``): a 200-pair corpus with its expected
 48-column feature matrix and its ranked pair-similarity scores under
-all three scoring methods. Any drift — batch kernel, scalar reference,
+all three scoring methods, plus Eq.-1 soft Jaccard on expert weights
+without and with a gazetteer (the ExpertSim configuration). Any drift — batch kernel, scalar reference,
 or generator — fails here with a per-feature diff, so an accidental
 ULP-level change cannot hide inside an end-to-end aggregate.
 
@@ -21,6 +22,7 @@ from repro.similarity.features import FEATURE_NAMES, extract_features
 from tools.golden_kernels import (
     FEATURES_CSV,
     N_PAIRS,
+    RANKED_COLUMNS,
     RANKED_CSV,
     compute_feature_rows,
     compute_ranked_rows,
@@ -28,6 +30,7 @@ from tools.golden_kernels import (
     golden_pairs,
     load_features_csv,
     load_ranked_csv,
+    ranked_scorers,
 )
 
 
@@ -122,17 +125,11 @@ class TestGoldenRankedPairs:
         assert not diffs, "golden ranking drift:\n" + "\n".join(diffs[:20])
 
     def test_scalar_scorer_matches_committed_scores(self, dataset):
-        from repro.blocking.scoring import BlockScorer, ScoringMethod
-
         bags = dataset.item_bags
-        scorers = {
-            "uniform": BlockScorer(method=ScoringMethod.UNIFORM),
-            "weighted": BlockScorer(method=ScoringMethod.WEIGHTED),
-            "soft": BlockScorer(method=ScoringMethod.EXPERT),
-        }
+        scorers = dict(zip(RANKED_COLUMNS, ranked_scorers()))
         diffs = []
-        for _rank, a, b, uniform, weighted, soft in load_ranked_csv():
-            expected = {"uniform": uniform, "weighted": weighted, "soft": soft}
+        for _rank, a, b, *scores in load_ranked_csv():
+            expected = dict(zip(RANKED_COLUMNS, scores))
             for key, scorer in scorers.items():
                 actual = scorer.pair_similarity(bags[a], bags[b])
                 if not _same_value(expected[key], actual):
@@ -142,8 +139,22 @@ class TestGoldenRankedPairs:
                     )
         assert not diffs, "golden score drift:\n" + "\n".join(diffs[:20])
 
+    def test_expert_sim_columns_are_distinct(self):
+        # The weighted soft column must not collapse onto the unweighted
+        # one, nor the gazetteer column onto exact-match Geo, or the
+        # pins would not cover the ExpertSim configuration.
+        rows = load_ranked_csv()
+        column = {name: 3 + i for i, name in enumerate(RANKED_COLUMNS)}
+        assert any(
+            row[column["soft"]] != row[column["soft_weighted"]] for row in rows
+        )
+        assert any(
+            row[column["soft_weighted"]] != row[column["soft_geo"]]
+            for row in rows
+        )
+
     def test_ranking_is_sorted_by_weighted_desc(self):
         rows = load_ranked_csv()
-        keys = [(-weighted, a, b) for _r, a, b, _u, weighted, _s in rows]
+        keys = [(-row[4], row[1], row[2]) for row in rows]
         assert keys == sorted(keys)
         assert [row[0] for row in rows] == list(range(1, len(rows) + 1))

@@ -15,8 +15,12 @@ Fixtures live in ``tests/fixtures/golden_kernels/``:
   canonical order, floats serialized with ``repr`` (exact round-trip),
   missing features as empty cells;
 * ``ranked_pairs.csv`` — the same pairs ranked by descending weighted
-  similarity: ``rank,a,b,uniform,weighted,soft`` covering all three
-  :class:`~repro.blocking.scoring.ScoringMethod` kernels.
+  similarity: ``rank,a,b`` then one column per entry of
+  :data:`RANKED_SCORERS` — all three
+  :class:`~repro.blocking.scoring.ScoringMethod` kernels, plus Eq.-1
+  soft Jaccard under :data:`~repro.blocking.scoring.DEFAULT_EXPERT_WEIGHTS`
+  (the ExpertSim-on-Expert-Weighting condition) without and with a
+  gazetteer lookup.
 
 Regenerate after an *intentional* change of kernel semantics with::
 
@@ -49,6 +53,14 @@ N_PAIRS = 200
 _STRIDES = (1, 2, 3, 5, 7, 11, 19, 31)
 
 Pair = Tuple[int, int]
+
+#: The score columns of ``ranked_pairs.csv``, in column order.
+RANKED_COLUMNS = (
+    "uniform", "weighted", "soft", "soft_weighted", "soft_geo",
+)
+
+#: ``(rank, a, b, *scores)`` with one score per :data:`RANKED_COLUMNS`.
+RankedRow = Tuple[object, ...]
 
 
 def golden_dataset():
@@ -90,39 +102,58 @@ def compute_feature_rows(
     return extract_features_batch(dataset, list(pairs))
 
 
+def ranked_scorers():
+    """One :class:`~repro.blocking.scoring.BlockScorer` per ranked column.
+
+    ``soft_weighted`` is the ExpertSim-on-Expert-Weighting scorer the
+    pipeline builds for ``expert_weighting=True, expert_sim=True``;
+    ``soft_geo`` adds the in-repo gazetteer of every community, so the
+    Eq.-1 Geo branch compares coordinates instead of exact names.
+    """
+    from repro.blocking.scoring import (
+        DEFAULT_EXPERT_WEIGHTS,
+        BlockScorer,
+        ScoringMethod,
+    )
+    from repro.datagen import build_gazetteer
+
+    weights = dict(DEFAULT_EXPERT_WEIGHTS)
+    scorers = {
+        "uniform": BlockScorer(method=ScoringMethod.UNIFORM),
+        "weighted": BlockScorer(method=ScoringMethod.WEIGHTED),
+        "soft": BlockScorer(method=ScoringMethod.EXPERT),
+        "soft_weighted": BlockScorer(
+            method=ScoringMethod.EXPERT, weights=weights
+        ),
+        "soft_geo": BlockScorer(
+            method=ScoringMethod.EXPERT,
+            weights=weights,
+            geo_lookup=build_gazetteer().lookup,
+        ),
+    }
+    return [scorers[column] for column in RANKED_COLUMNS]
+
+
 def compute_ranked_rows(
     dataset, pairs: Sequence[Pair]
-) -> List[Tuple[int, int, int, float, float, float]]:
-    """(rank, a, b, uniform, weighted, soft) ranked by weighted desc."""
-    from repro.blocking.scoring import BlockScorer, ScoringMethod
+) -> List[RankedRow]:
+    """``(rank, a, b, *scores)`` ranked by weighted desc."""
     from repro.similarity.interning import InternedCorpus
 
     corpus = InternedCorpus(dataset.item_bags)
     pair_list = list(pairs)
-    by_method = {
-        method: BlockScorer(method=method).pair_similarity_batch(
-            corpus, pair_list
-        )
-        for method in (
-            ScoringMethod.UNIFORM,
-            ScoringMethod.WEIGHTED,
-            ScoringMethod.EXPERT,
-        )
-    }
-    rows = [
-        (
-            pair[0],
-            pair[1],
-            by_method[ScoringMethod.UNIFORM][i],
-            by_method[ScoringMethod.WEIGHTED][i],
-            by_method[ScoringMethod.EXPERT][i],
-        )
-        for i, pair in enumerate(pair_list)
+    columns = [
+        scorer.pair_similarity_batch(corpus, pair_list)
+        for scorer in ranked_scorers()
     ]
-    rows.sort(key=lambda row: (-row[3], row[0], row[1]))
+    weighted = RANKED_COLUMNS.index("weighted")
+    order = sorted(
+        range(len(pair_list)),
+        key=lambda i: (-columns[weighted][i], pair_list[i]),
+    )
     return [
-        (rank, a, b, uniform, weighted, soft)
-        for rank, (a, b, uniform, weighted, soft) in enumerate(rows, start=1)
+        (rank, *pair_list[i], *(column[i] for column in columns))
+        for rank, i in enumerate(order, start=1)
     ]
 
 
@@ -163,21 +194,13 @@ def render_features(
     return "\n".join(lines) + "\n"
 
 
-def render_ranked(
-    ranked: Sequence[Tuple[int, int, int, float, float, float]]
-) -> str:
-    lines = [",".join(["rank", "a", "b", "uniform", "weighted", "soft"])]
-    for rank, a, b, uniform, weighted, soft in ranked:
+def render_ranked(ranked: Sequence[RankedRow]) -> str:
+    lines = [",".join(["rank", "a", "b", *RANKED_COLUMNS])]
+    for rank, a, b, *scores in ranked:
         lines.append(
             ",".join(
-                [
-                    str(rank),
-                    str(a),
-                    str(b),
-                    format_cell(uniform),
-                    format_cell(weighted),
-                    format_cell(soft),
-                ]
+                [str(rank), str(a), str(b)]
+                + [format_cell(score) for score in scores]
             )
         )
     return "\n".join(lines) + "\n"
@@ -204,22 +227,15 @@ def load_features_csv(
     return names, pairs, rows
 
 
-def load_ranked_csv(
-    path: Path = RANKED_CSV,
-) -> List[Tuple[int, int, int, float, float, float]]:
+def load_ranked_csv(path: Path = RANKED_CSV) -> List[RankedRow]:
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        next(reader)
+        header = next(reader)
+        if tuple(header[3:]) != RANKED_COLUMNS:
+            raise ValueError(f"{path}: unexpected columns {header!r}")
         return [
-            (
-                int(rank),
-                int(a),
-                int(b),
-                float(uniform),
-                float(weighted),
-                float(soft),
-            )
-            for rank, a, b, uniform, weighted, soft in reader
+            (int(rank), int(a), int(b), *(float(cell) for cell in scores))
+            for rank, a, b, *scores in reader
         ]
 
 
