@@ -22,12 +22,14 @@ Key properties the paper highlights (Section 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.blocking.base import (
     Block,
     BlockingAlgorithm,
     BlockingResult,
+    Pair,
     pairs_of_block,
 )
 from repro.blocking.scoring import BlockScorer, SparseNeighborhoodFilter
@@ -157,6 +159,11 @@ class MFIBlocks(BlockingAlgorithm):
                 handle = publish_shared_state(
                     scorer=config.scoring, corpus=corpus
                 )
+            # The run-wide pair -> score table: every kernel is pure per
+            # pair and item bags do not change across levels, so each
+            # distinct pair is scored once and then serves every block
+            # mean and pair score that needs it.
+            table: Dict[Pair, float] = {}
             try:
                 for minsup in range(config.max_minsup, 1, -1):
                     uncovered = [
@@ -170,12 +177,12 @@ class MFIBlocks(BlockingAlgorithm):
                     with tracer.span("mfiblocks.minsup", minsup=minsup):
                         admitted = self._one_iteration(
                             uncovered, item_bags, corpus, minsup, sn_filter,
-                            meter,
+                            meter, table, handle,
                         )
                         for records, key, score in admitted:
                             result.blocks.append(Block(records, key, score))
                             covered.update(records)
-                        self._score_pairs(admitted, corpus, result, handle)
+                        self._score_pairs(admitted, table, result)
                     tracer.count("mfiblocks.blocks_admitted", len(admitted))
                     if meter.degraded:
                         # Mining was cut short: the admitted blocks are
@@ -200,9 +207,16 @@ class MFIBlocks(BlockingAlgorithm):
         corpus: InternedCorpus,
         minsup: int,
         sn_filter: SparseNeighborhoodFilter,
-        meter: Optional[BudgetMeter] = None,
+        meter: BudgetMeter,
+        table: Dict[Pair, float],
+        handle: Optional[SharedStateHandle],
     ) -> List[Tuple[FrozenSet[int], FrozenSet[Item], float]]:
-        """Mine, support, size-filter, score, and SN-filter one minsup level."""
+        """Mine, support, size-filter, score, and SN-filter one minsup level.
+
+        ``table`` is the run's pair -> score table; the level's new
+        candidate-block pairs are scored into it before the block means
+        are read from it.
+        """
         config = self.config
         tracer = self.tracer
         transactions = [item_bags[rid] for rid in uncovered]
@@ -235,9 +249,9 @@ class MFIBlocks(BlockingAlgorithm):
                 seen_supports.add(support)
                 candidates.append((support, mfi.items))
         with tracer.span("mfiblocks.score", minsup=minsup):
-            scores = config.scoring.score_blocks_batch(
-                [sorted(support) for support, _key in candidates], corpus
-            )
+            blocks = [sorted(support) for support, _key in candidates]
+            self._fill_table(blocks, corpus, table, handle)
+            scores = config.scoring.score_blocks_batch(blocks, corpus, table)
             scored = [
                 (support, key, score)
                 for (support, key), score in zip(candidates, scores)
@@ -294,32 +308,38 @@ class MFIBlocks(BlockingAlgorithm):
             }
         )
 
-    def _score_pairs(
+    def _fill_table(
         self,
-        admitted: List[Tuple[FrozenSet[int], FrozenSet[Item], float]],
+        blocks: List[List[int]],
         corpus: InternedCorpus,
-        result: BlockingResult,
+        table: Dict[Pair, float],
         handle: Optional[SharedStateHandle],
     ) -> None:
-        """Record pair-level similarity for ranked resolution.
+        """Score the blocks' member pairs that ``table`` lacks, once each.
 
-        Each admitted block contributes its member pairs; the pair
-        score is the *record-pair* similarity under the configured
-        scorer (not the block mean), maximized across blocks — the
-        similarity value the uncertain-ER output associates with each
-        match. Scoring runs through the batch kernels, which are
-        bit-identical per pair to ``pair_similarity``.
-
-        A parallel run (``handle`` published) dispatches chunks of
-        ``(handle.ref, pairs)`` to :func:`score_pair_chunk` unless the
-        pair list is below :data:`MIN_DISPATCH_PAIRS`, in which case the
-        same kernels run inline. Chunking is a deterministic partition
-        of the sorted pair list and the max-merge is order-independent,
-        so the mapping — and the ranked output downstream — is
-        byte-identical across routes and worker counts
+        The new pairs are scored by one batch kernel call, bit-identical
+        per pair to ``pair_similarity``. A parallel run
+        (``handle`` published) dispatches chunks of ``(handle.ref,
+        pairs)`` to :func:`score_pair_chunk` unless the list is below
+        :data:`MIN_DISPATCH_PAIRS`, in which case the same kernels run
+        inline. Each pair's score is a pure function of the pair, so
+        the table — and the ranked output downstream — is byte-identical
+        across routes, worker counts and chunk orders
         (docs/PARALLELISM.md).
         """
-        pairs = self._unique_pairs(admitted)
+        # First-seen order over the (deterministically ordered) blocks:
+        # a pair's score does not depend on its position in the call.
+        pairs = list(
+            dict.fromkeys(
+                pair
+                for members in blocks
+                for pair in combinations(members, 2)
+                if pair not in table
+            )
+        )
+        occurrences = sum(len(m) * (len(m) - 1) // 2 for m in blocks)
+        self.tracer.count("mfiblocks.pairs_scored", len(pairs))
+        self.tracer.count("mfiblocks.pairs_reused", occurrences - len(pairs))
         if not pairs:
             return
         executor = self.executor
@@ -329,7 +349,7 @@ class MFIBlocks(BlockingAlgorithm):
             or len(pairs) < MIN_DISPATCH_PAIRS
         ):
             scores = self.config.scoring.pair_similarity_batch(corpus, pairs)
-            max_merge_into(result.pair_scores, list(zip(pairs, scores)))
+            table.update(zip(pairs, scores))
             return
         chunk_results = executor.map_chunks(
             score_pair_chunk,
@@ -339,4 +359,25 @@ class MFIBlocks(BlockingAlgorithm):
             shared=handle,
         )
         for chunk_result in chunk_results:
-            max_merge_into(result.pair_scores, chunk_result)
+            # The chunks' keys are disjoint and new: the max-merge is a
+            # plain insert, in whatever order the chunks arrive.
+            max_merge_into(table, chunk_result)
+
+    def _score_pairs(
+        self,
+        admitted: List[Tuple[FrozenSet[int], FrozenSet[Item], float]],
+        table: Dict[Pair, float],
+        result: BlockingResult,
+    ) -> None:
+        """Record pair-level similarity for ranked resolution.
+
+        Each admitted block contributes its member pairs; the pair
+        score is the *record-pair* similarity under the configured
+        scorer (not the block mean), maximized across blocks — the
+        similarity value the uncertain-ER output associates with each
+        match. Every admitted pair is a member pair of a scored block,
+        so its score is read from ``table``; no kernel runs here.
+        """
+        pairs = self._unique_pairs(admitted)
+        self.tracer.count("mfiblocks.pairs_reused", len(pairs))
+        max_merge_into(result.pair_scores, [(pair, table[pair]) for pair in pairs])

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.contracts import batch_kernel, deterministic, hot_path, pure
@@ -170,36 +171,38 @@ class BlockScorer:
         self,
         blocks: Sequence[Sequence[int]],
         corpus: InternedCorpus,
+        table: Optional[Mapping[Tuple[int, int], float]] = None,
     ) -> List[float]:
         """Batch form of :meth:`score_block` for many blocks at once.
 
-        All member pairs across all blocks are scored in one kernel
-        call; per-block accumulation then replays :meth:`score_block`'s
-        pair order and sequential float addition, so each returned mean
-        is byte-identical to the scalar aggregate.
+        Member-pair similarities come from ``table`` (pair -> score,
+        holding every member pair of every block) or, without one, from
+        one kernel call over the distinct member pairs. Per-block
+        accumulation then replays :meth:`score_block`'s pair order and
+        sequential float addition, so each returned mean is
+        byte-identical to the scalar aggregate.
         """
-        members_list: List[List[int]] = []
-        spans: List[Tuple[int, int]] = []
-        pairs: List[Tuple[int, int]] = []
-        for records in blocks:
-            members = sorted(records)
-            members_list.append(members)
-            start = len(pairs)
-            for i, rid_a in enumerate(members):
-                for rid_b in members[i + 1:]:
-                    pairs.append((rid_a, rid_b))
-            spans.append((start, len(pairs)))
-        sims = self.pair_similarity_batch(corpus, pairs)
+        members_list = [sorted(records) for records in blocks]
+        if table is None:
+            pairs = list(
+                dict.fromkeys(
+                    pair
+                    for members in members_list
+                    for pair in combinations(members, 2)
+                )
+            )
+            table = dict(zip(pairs, self.pair_similarity_batch(corpus, pairs)))
         out: List[float] = []
-        for index, members in enumerate(members_list):
+        for members in members_list:
             if len(members) < 2:
                 out.append(0.0)
                 continue
-            start, end = spans[index]
             total = 0.0
-            for value in sims[start:end]:
-                total += value
-            out.append(total / (end - start))
+            n_pairs = 0
+            for pair in combinations(members, 2):
+                total += table[pair]
+                n_pairs += 1
+            out.append(total / n_pairs)
         return out
 
 

@@ -22,9 +22,12 @@ oracle and a sweep of cells that must render the same ranked text:
     at workers 1 and 2 (tracing must not change what it measures). A
     second gate, ``schedule-classify``, compares the classified serial
     run with one hostile classified cell per seed, attacking the
-    classifier's rank merge. A sweep in which either scoring merge
-    (:data:`SCORING_DISPATCHES`) never ran in a hostile order proves
-    nothing about it, so it exits 2 instead of passing.
+    classifier's rank merge. A third, ``schedule-expertsim``, does the
+    same for the Eq.-1 ExpertSim scorer, whose greedy claim loop is the
+    order-sensitive kernel the pair-table fill dispatches. A sweep in
+    which a scoring merge (:data:`SCORING_DISPATCHES`, and the
+    ExpertSim fill, :data:`EXPERTSIM_DISPATCH`) never ran in a hostile
+    order proves nothing about it, so it exits 2 instead of passing.
 
 Both resolve the fixed gate corpus; only ``--persons`` sizes it. Exit
 codes are the harness's: 0 every gate held, 1 an invariant failed, 2 bad
@@ -58,6 +61,8 @@ if TYPE_CHECKING:
     from repro.core.resolution import Pair
 
 __all__ = [
+    "EXPERTSIM_DISPATCH",
+    "EXPERTSIM_SUFFIX",
     "SCORING_DISPATCHES",
     "Cell",
     "hash_seed_gate",
@@ -72,6 +77,13 @@ __all__ = [
 #: scoring max-merge and the classifier's rank merge. Pair lists below
 #: the executor's dispatch threshold are scored inline, out of reach.
 SCORING_DISPATCHES = ("mfiblocks.score_pairs", "classify.score_pairs")
+
+#: Dispatch labels of an ``expert_sim`` cell carry this suffix, so the
+#: vacuity check can tell the ExpertSim pair-table fill apart.
+EXPERTSIM_SUFFIX = " (expert_sim)"
+
+#: The ExpertSim fill that ``schedule-expertsim`` exists to attack.
+EXPERTSIM_DISPATCH = SCORING_DISPATCHES[0] + EXPERTSIM_SUFFIX
 
 #: Worker counts of the traced cells (serial, and one real pool).
 TRACED_WORKERS = (1, 2)
@@ -92,6 +104,7 @@ class Cell:
     workers: int = 1
     traced: bool = False
     classify: bool = False
+    expert_sim: bool = False
 
 
 #: Renders one cell's ranked text.
@@ -108,7 +121,8 @@ def resolve_cell(
 
     ``labels`` train the classifier of a ``classify`` cell. ``shuffled``
     collects the label of every adversarial dispatch that had two or
-    more chunks — the merges that really saw a hostile order.
+    more chunks — the merges that really saw a hostile order — with
+    :data:`EXPERTSIM_SUFFIX` appended for an ``expert_sim`` cell.
     """
     from repro.core import UncertainERPipeline
     from repro.obs import Tracer
@@ -120,7 +134,7 @@ def resolve_cell(
     )
     tracer = Tracer() if cell.traced else None
     pipeline = UncertainERPipeline(
-        pipeline_config(classify=cell.classify),
+        pipeline_config(classify=cell.classify, expert_sim=cell.expert_sim),
         tracer=tracer, executor=executor,
     )
     try:
@@ -132,8 +146,9 @@ def resolve_cell(
     if shuffled is not None and isinstance(
         executor, AdversarialScheduleExecutor
     ):
+        suffix = EXPERTSIM_SUFFIX if cell.expert_sim else ""
         shuffled.update(
-            label
+            label + suffix
             for label, order in zip(executor.label_log, executor.schedule_log)
             if len(order) > 1
         )
@@ -232,8 +247,9 @@ def hash_seed_gate(
 
 def schedule_gates(config: GateConfig, runner: Runner) -> List[Gate]:
     """The serial oracle against every hostile seed × worker count cell
-    and the traced cells; the classified serial oracle against one
-    hostile classified cell per seed, at the widest worker count."""
+    and the traced cells; the classified and the ExpertSim serial
+    oracles each against one hostile cell of their kind per seed, at
+    the widest worker count."""
     widest = max(config.workers)
     return [
         _sweep("schedule", runner, [("serial", Cell())] + [
@@ -248,6 +264,13 @@ def schedule_gates(config: GateConfig, runner: Runner) -> List[Gate]:
         ] + [
             (f"classified schedule_seed={seed} workers={widest}",
              Cell(seed, widest, classify=True))
+            for seed in config.seeds
+        ]),
+        _sweep("schedule-expertsim", runner, [
+            ("expertsim serial", Cell(expert_sim=True)),
+        ] + [
+            (f"expertsim schedule_seed={seed} workers={widest}",
+             Cell(seed, widest, expert_sim=True))
             for seed in config.seeds
         ]),
     ]
@@ -338,7 +361,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     shuffled: Set[str] = set()
 
     def unshuffled() -> Optional[str]:
-        missing = [d for d in SCORING_DISPATCHES if d not in shuffled]
+        missing = [
+            d for d in (*SCORING_DISPATCHES, EXPERTSIM_DISPATCH)
+            if d not in shuffled
+        ]
         return (
             f"no {' or '.join(missing)} dispatch ran under a hostile "
             "schedule (those pair lists were scored inline); raise "

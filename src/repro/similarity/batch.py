@@ -24,9 +24,35 @@ Bit-identity arguments, per kernel:
   agrees with ``fsum`` exactly as well.
 * :func:`soft_jaccard_items_batch` — the greedy Eq.-1 assignment only
   contributes when *both* sides keep unshared items of a common type;
-  the per-type popcounts detect exactly those pairs, which are scored
-  by the scalar reference itself. All remaining pairs reduce to the
-  (weighted) set-overlap arithmetic above.
+  the per-type popcounts detect exactly those pairs. All remaining
+  pairs reduce to the (weighted) set-overlap arithmetic above. The
+  greedy pairs replay the scalar's claim loop on interned ids:
+
+  - *Order.* The scalar sorts each side's unshared items by ``repr``
+    and claims in that order, first best wins. The corpus ranks every
+    vocabulary id by ``repr`` once, at construction
+    (:attr:`~repro.similarity.interning.InternedCorpus.repr_rank`);
+    distinct items have distinct reprs, so an integer sort by rank is
+    the same total order. Each record's ids are sorted by rank once per
+    call, not once per pair.
+  - *Masses.* The scalar's starting intersection mass and its union
+    are ``len`` counts (unweighted) or ``fsum`` of item weights. Here
+    they are the popcounts, or the exact integer masses ``N`` over the
+    common denominator ``D``; Python's ``N / D`` is the correctly
+    rounded exact sum, which is what ``fsum`` returns.
+  - *Item similarity.* :func:`~repro.similarity.items
+    .expert_item_similarity` is pure, so it is memoised per ``(small
+    id, large id)`` within a call, argument order kept; each distinct
+    name pair costs one Jaro–Winkler.
+  - *Accumulation.* Claims keep the scalar's ``score > best`` tie-break
+    (the earliest of equal scores wins, and a zero never claims),
+    remove the claimed id from its type's candidate list without
+    reordering it, and add ``best * weight`` to the running float mass
+    in the small side's canonical order, then divide by the union once
+    — the same float operations in the same order.
+
+  Only a non-finite weight, which has no exact integer form, sends
+  pairs to the scalar :func:`~repro.similarity.items.soft_jaccard_items`.
 
 Every kernel is ``@batch_kernel``: the reprolint perf pass (RL300)
 neither analyzes the body nor traverses into it from hot callers.
@@ -34,15 +60,21 @@ neither analyzes the body nor traverses into it from hot callers.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.contracts import batch_kernel, pure
 from repro.records.itembag import ItemType
-from repro.similarity.interning import InternedCorpus, Pair, ScaledWeights
+from repro.similarity.interning import (
+    TYPE_ORDER,
+    InternedCorpus,
+    Pair,
+    ScaledWeights,
+)
 from repro.similarity.items import (
     GeoLookup,
+    expert_item_similarity,
     soft_jaccard_items,
     weighted_jaccard_items,
 )
@@ -153,9 +185,9 @@ def soft_jaccard_items_batch(
     """Eq.-1 soft Jaccard; ≡ :func:`soft_jaccard_items` per pair.
 
     The greedy partial-match assignment engages only when both records
-    keep unshared items of a common type; those pairs are delegated to
-    the scalar reference on the original frozensets, so the greedy
-    order, tie-breaks and float accumulation are the reference's own.
+    keep unshared items of a common type; those pairs run the scalar's
+    greedy claim loop on interned ids (:class:`_SoftGreedy`). A
+    non-finite weight defers every pair to the scalar reference.
     """
     if not pairs:
         return []
@@ -172,48 +204,146 @@ def soft_jaccard_items_batch(
     inter_tc = corpus.type_counts_of(corpus.bits[a_rows] & corpus.bits[b_rows])
     type_counts_a = corpus.type_counts[a_rows]
     type_counts_b = corpus.type_counts[b_rows]
-    needs_greedy = (
+    greedy_list: List[bool] = (
         ((type_counts_a - inter_tc) > 0) & ((type_counts_b - inter_tc) > 0)
-    ).any(axis=1)
-    inter = inter_tc.sum(axis=1)
-    union = corpus.sizes[a_rows] + corpus.sizes[b_rows] - inter
-    union_list: List[int] = union.tolist()
-    greedy_list: List[bool] = needs_greedy.tolist()
-    if weights is None:
-        fast = (inter / np.maximum(union, 1)).tolist()
-        inter_mass: List[int] = []
-        union_mass: List[int] = []
+    ).any(axis=1).tolist()
+    # The scalar's small/large split: ``a`` is small on equal sizes.
+    a_small: List[bool] = (
+        corpus.sizes[a_rows] <= corpus.sizes[b_rows]
+    ).tolist()
+    # Exact integer masses over ``denominator``: item counts unweighted.
+    if scaled is None:
+        inter = inter_tc.sum(axis=1)
+        inter_mass: List[int] = inter.tolist()
+        union_mass: List[int] = (
+            corpus.sizes[a_rows] + corpus.sizes[b_rows] - inter
+        ).tolist()
         denominator = 1
     else:
-        assert scaled is not None
-        fast = []
         union_tc = type_counts_a + type_counts_b - inter_tc
         inter_mass, union_mass = _masses(scaled, inter_tc, union_tc)
         denominator = scaled.denominator
-    bags = corpus.bags
+    greedy = _SoftGreedy(corpus, geo_lookup, weights)
     out: List[float] = []
     for index, (rid_a, rid_b) in enumerate(pairs):
-        if union_list[index] == 0:
-            # Both bags empty: the scalar's first branch.
+        union_n = union_mass[index]
+        if union_n == 0:
+            # Both bags empty, or a zero weight mass: the scalar's 1.0.
             out.append(1.0)
-        elif greedy_list[index]:
-            out.append(
-                soft_jaccard_items(
-                    bags[rid_a], bags[rid_b], geo_lookup, weights
-                )
+            continue
+        mass = inter_mass[index] / denominator
+        if greedy_list[index]:
+            small, large = (
+                (rid_a, rid_b) if a_small[index] else (rid_b, rid_a)
             )
-        elif weights is None:
-            out.append(fast[index])
-        else:
-            union_n = union_mass[index]
-            if union_n == 0:
-                out.append(1.0)
-            else:
-                out.append(
-                    (inter_mass[index] / denominator)
-                    / (union_n / denominator)
-                )
+            mass = greedy.score(small, large, mass)
+        out.append(mass / (union_n / denominator))
     return out
+
+
+#: One record's greedy inputs: its ids in canonical order, its id set,
+#: and its ids per type index in canonical order.
+_GreedyRecord = Tuple[List[int], FrozenSet[int], Dict[int, List[int]]]
+
+
+class _SoftGreedy:
+    """The Eq.-1 greedy claim loop of :func:`soft_jaccard_items`, on ids.
+
+    Per record, built once per kernel call: its vocabulary ids sorted by
+    :attr:`InternedCorpus.repr_rank` (the scalar's ``sorted(key=repr)``
+    order), its id set and its ids per type. Per ``(id, id)``: one
+    memoised :func:`expert_item_similarity`.
+    """
+
+    __slots__ = (
+        "_corpus", "_geo", "_weight", "_type_of", "_records", "_memo",
+    )
+
+    def __init__(
+        self,
+        corpus: InternedCorpus,
+        geo_lookup: Optional[GeoLookup],
+        weights: Optional[Mapping[ItemType, float]],
+    ) -> None:
+        self._corpus = corpus
+        self._geo = geo_lookup
+        # Item weight per type index, as the scalar's ``item_weight``.
+        self._weight: List[float] = [
+            1.0 if weights is None else weights.get(item_type, 1.0)
+            for item_type in TYPE_ORDER
+        ]
+        type_of = [0] * len(corpus.vocab)
+        for type_index, (lo, hi) in enumerate(corpus.type_ranges):
+            type_of[lo:hi] = [type_index] * (hi - lo)
+        self._type_of = type_of
+        self._records: Dict[int, _GreedyRecord] = {}
+        self._memo: Dict[Tuple[int, int], float] = {}
+
+    def _record(self, rid: int) -> _GreedyRecord:
+        entry = self._records.get(rid)
+        if entry is None:
+            corpus = self._corpus
+            id_of = corpus.id_of
+            ranked = sorted(
+                (id_of[item] for item in corpus.bags[rid]),
+                key=corpus.repr_rank.__getitem__,
+            )
+            type_of = self._type_of
+            by_type: Dict[int, List[int]] = {}
+            for item_id in ranked:
+                by_type.setdefault(type_of[item_id], []).append(item_id)
+            entry = (ranked, frozenset(ranked), by_type)
+            self._records[rid] = entry
+        return entry
+
+    def score(self, small: int, large: int, inter_mass: float) -> float:
+        """``inter_mass`` plus the weighted greedy claims of ``small``.
+
+        Claims run over ``small``'s unshared items in canonical order;
+        each takes the first best-scoring (``score > best``) unclaimed
+        unshared item of its type in ``large``, in canonical order, and
+        adds ``best * weight`` to the mass in that same order.
+        """
+        small_ids, small_set, _ = self._record(small)
+        _, large_set, large_by_type = self._record(large)
+        # Per type: the large side's unshared, unclaimed ids, in order.
+        pools: Dict[int, List[int]] = {}
+        vocab = self._corpus.vocab
+        type_of = self._type_of
+        memo = self._memo
+        geo = self._geo
+        weight = self._weight
+        for item_id in small_ids:
+            if item_id in large_set:
+                continue
+            type_index = type_of[item_id]
+            pool = pools.get(type_index)
+            if pool is None:
+                pool = pools[type_index] = [
+                    other_id
+                    for other_id in large_by_type.get(type_index, ())
+                    if other_id not in small_set
+                ]
+            if not pool:
+                continue
+            best_score = 0.0
+            best_index = -1
+            for index, other_id in enumerate(pool):
+                key = (item_id, other_id)
+                score = memo.get(key)
+                if score is None:
+                    score = memo[key] = expert_item_similarity(
+                        vocab[item_id], vocab[other_id], geo
+                    )
+                if score > best_score:
+                    best_score = score
+                    best_index = index
+            if best_index >= 0:
+                # Dropping the claimed id keeps the pool's order, as the
+                # scalar's claimed flags do.
+                del pool[best_index]
+                inter_mass += best_score * weight[type_index]
+        return inter_mass
 
 
 def _mass_ratio(

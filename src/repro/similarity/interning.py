@@ -133,8 +133,8 @@ class InternedCorpus:
         rids = sorted(item_bags)
         self.rids: Tuple[int, ...] = tuple(rids)
         self.row_of: Dict[int, int] = {rid: row for row, rid in enumerate(rids)}
-        #: Original bags, for scalar-fallback paths (soft-jaccard greedy
-        #: matching, non-finite weights).
+        #: Original bags, for the non-finite-weight scalar fallback and
+        #: the soft-Jaccard greedy step's per-record id lists.
         self.bags: Dict[int, FrozenSet[Item]] = {
             rid: item_bags[rid] for rid in rids
         }
@@ -148,6 +148,16 @@ class InternedCorpus:
 
         n_records = len(rids)
         n_items = len(vocab)
+        #: Position of every vocabulary id in ``repr`` order — the
+        #: canonical order the scalar soft Jaccard sorts its leftover
+        #: items into, as an integer sort key. Distinct items have
+        #: distinct reprs, so the order is total.
+        repr_rank = [0] * n_items
+        for rank, item_id in enumerate(
+            sorted(range(n_items), key=lambda i: repr(vocab[i]))
+        ):
+            repr_rank[item_id] = rank
+        self.repr_rank: Tuple[int, ...] = tuple(repr_rank)
         n_words = max(1, (n_items + _WORD_BITS - 1) // _WORD_BITS)
         bits = np.zeros((n_records, n_words), dtype=np.uint64)
         id_of = self.id_of

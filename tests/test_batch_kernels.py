@@ -14,7 +14,11 @@ reference they replace. Hypothesis hunts for the counterexample on:
 * arbitrary chunkings — splitting the pair list anywhere and
   concatenating the per-chunk results must reproduce the whole-batch
   output exactly, which is what makes executor chunk planning invisible
-  in the ranked output.
+  in the ranked output;
+* corpora built to make the Eq.-1 greedy claim loop tie: two-letter
+  names (equal Jaro–Winkler scores), years the same distance either
+  side of a target, malformed and out-of-range dates, and all-zero
+  weight tables — each tie must go to the same item as in the scalar.
 
 Comparisons go through ``repr`` so ``-0.0`` vs ``0.0`` and NaN count
 as drift/equality correctly.
@@ -22,11 +26,20 @@ as drift/equality correctly.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.similarity.batch as batch_module
+from repro.blocking.scoring import (
+    DEFAULT_EXPERT_WEIGHTS,
+    BlockScorer,
+    ScoringMethod,
+)
 from repro.geo import GeoPoint
-from repro.records.itembag import Item, ItemType
+from repro.records.itembag import Item, ItemKind, ItemType
 from repro.similarity.batch import (
     jaccard_items_batch,
     soft_jaccard_items_batch,
@@ -187,6 +200,232 @@ class TestItemKernelsMatchScalar:
             assert reprs(kernel(corpus, pairs)) == reprs(
                 [scalar(item_bags[a], item_bags[b]) for a, b in pairs]
             )
+
+
+NAME_TYPES = [t for t in ItemType if t.kind is ItemKind.NAME]
+DATE_TYPES = (ItemType.BIRTH_DAY, ItemType.BIRTH_MONTH, ItemType.BIRTH_YEAR)
+
+#: Every finite weight table the tie tests run under: none, the expert
+#: table, all-zero, and a signed table whose masses can cancel to zero.
+TIE_WEIGHTS = st.sampled_from(
+    [
+        None,
+        dict(DEFAULT_EXPERT_WEIGHTS),
+        {t: 0.0 for t in ItemType},
+        {ItemType.FIRST_NAME: 0.0, ItemType.LAST_NAME: 0.0},
+        {ItemType.FIRST_NAME: 1.0, ItemType.LAST_NAME: -1.0},
+    ]
+)
+
+#: Two name types over a two-letter alphabet: many distinct values
+#: with equal Jaro–Winkler scores against the same item.
+two_letter_names = st.builds(
+    Item,
+    st.sampled_from(NAME_TYPES[:2]),
+    st.text(alphabet="ab", min_size=1, max_size=4),
+)
+
+#: Date components that do not parse or fall outside their range
+#: (Eq. 1 then falls back to exact match), mixed with valid ones.
+malformed_dates = st.builds(
+    Item,
+    st.sampled_from(DATE_TYPES),
+    st.sampled_from(
+        ["0", "13", "32", "-1", "00", "007", "1e3", "", "x", " 7", "٣",
+         "1", "12", "31", "1920", "1921"]
+    ),
+)
+
+
+@st.composite
+def symmetric_years(draw, max_records=6):
+    """Bags of years ``target ± gap``: each gap ties on either side."""
+    target = draw(st.integers(min_value=1850, max_value=1950))
+    gaps = draw(
+        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=3)
+    )
+    years = sorted({target + sign * gap for gap in gaps for sign in (-1, 1)})
+    pool = [Item(ItemType.BIRTH_YEAR, str(year)) for year in years]
+    pool += [Item(ItemType.FIRST_NAME, "ab"), Item(ItemType.FIRST_NAME, "ba")]
+    n = draw(st.integers(min_value=2, max_value=max_records))
+    return {
+        rid: frozenset(draw(st.lists(st.sampled_from(pool), max_size=6)))
+        for rid in range(n)
+    }
+
+
+def all_pairs(item_bags):
+    """Every ordered pair, self-pairs included: both small/large splits."""
+    return [(a, b) for a in item_bags for b in item_bags]
+
+
+def assert_soft_matches_scalar(item_bags, pairs, geo, weights):
+    corpus = InternedCorpus(item_bags)
+    batch = soft_jaccard_items_batch(corpus, pairs, geo, weights)
+    scalar = [
+        soft_jaccard_items(item_bags[a], item_bags[b], geo, weights)
+        for a, b in pairs
+    ]
+    assert reprs(batch) == reprs(scalar)
+
+
+class TestSoftJaccardTies:
+    """The interned greedy step breaks every tie as the scalar does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(two_letter_names, max_size=6),
+            min_size=2,
+            max_size=6,
+        ),
+        TIE_WEIGHTS,
+    )
+    def test_two_letter_names(self, bag_list, weights):
+        item_bags = dict(enumerate(bag_list))
+        assert_soft_matches_scalar(
+            item_bags, all_pairs(item_bags), None, weights
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_years(), TIE_WEIGHTS)
+    def test_years_equidistant_from_a_target(self, item_bags, weights):
+        assert_soft_matches_scalar(
+            item_bags, all_pairs(item_bags), None, weights
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(malformed_dates, max_size=6),
+            min_size=2,
+            max_size=6,
+        ),
+        TIE_WEIGHTS,
+    )
+    def test_malformed_and_out_of_range_dates(self, bag_list, weights):
+        item_bags = dict(enumerate(bag_list))
+        assert_soft_matches_scalar(
+            item_bags, all_pairs(item_bags), None, weights
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpora_with_pairs(
+            bag_strategy=st.frozensets(
+                st.one_of(
+                    two_letter_names,
+                    malformed_dates,
+                    st.builds(Item, item_types, geo_values),
+                ),
+                max_size=10,
+            )
+        ),
+        st.sampled_from([{t: 0.0 for t in ItemType}, {}]),
+        st.booleans(),
+    )
+    def test_all_zero_weight_tables(self, case, weights, with_geo):
+        item_bags, pairs = case
+        assert_soft_matches_scalar(
+            item_bags, pairs, lookup if with_geo else None, weights
+        )
+
+
+class TestSoftJaccardScalarFallback:
+    """Only a non-finite weight sends soft Jaccard to the scalar."""
+
+    @classmethod
+    def setup_class(cls):
+        dataset = golden_dataset()
+        cls.item_bags = dataset.item_bags
+        cls.corpus = InternedCorpus(cls.item_bags)
+        rids = sorted(cls.item_bags)
+        cls.pairs = [
+            (a, b) for i, a in enumerate(rids[:40]) for b in rids[i:i + 6]
+        ]
+
+    def scalar(self, weights, geo=None):
+        return [
+            soft_jaccard_items(self.item_bags[a], self.item_bags[b], geo, weights)
+            for a, b in self.pairs
+        ]
+
+    def test_finite_weights_never_reach_scalar(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("finite weights reached soft_jaccard_items")
+
+        expected = {
+            key: self.scalar(weights, geo)
+            for key, (weights, geo) in self.finite_cases().items()
+        }
+        monkeypatch.setattr(batch_module, "soft_jaccard_items", refuse)
+        for key, (weights, geo) in self.finite_cases().items():
+            batch = soft_jaccard_items_batch(
+                self.corpus, self.pairs, geo, weights
+            )
+            assert reprs(batch) == reprs(expected[key]), key
+        # The greedy step really ran: partial matches moved some scores
+        # off plain Jaccard.
+        plain = jaccard_items_batch(self.corpus, self.pairs)
+        assert reprs(expected["none"]) != reprs(plain)
+
+    @staticmethod
+    def finite_cases():
+        return {
+            "none": (None, None),
+            "expert": (dict(DEFAULT_EXPERT_WEIGHTS), None),
+            "expert+geo": (dict(DEFAULT_EXPERT_WEIGHTS), lookup),
+            "zero": ({t: 0.0 for t in ItemType}, None),
+            "empty": ({}, lookup),
+        }
+
+    def test_non_finite_weights_still_reach_scalar(self, monkeypatch):
+        calls = []
+        original = batch_module.soft_jaccard_items
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "soft_jaccard_items", counting)
+        for bad in (math.nan, math.inf, -math.inf):
+            weights = dict(DEFAULT_EXPERT_WEIGHTS)
+            weights[ItemType.GENDER] = bad
+            calls.clear()
+            batch = soft_jaccard_items_batch(
+                self.corpus, self.pairs, None, weights
+            )
+            assert len(calls) == len(self.pairs)
+            assert reprs(batch) == reprs(self.scalar(weights))
+
+
+class TestBlockScoresMatchScalar:
+    """score_blocks_batch == score_block, block by block, with the
+    member-pair scores computed in the call or read from a table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        corpora_with_pairs(max_records=7),
+        st.sampled_from(list(ScoringMethod)),
+        st.one_of(st.none(), weight_tables),
+        st.data(),
+    )
+    def test_block_means(self, case, method, weights, data):
+        item_bags, _pairs = case
+        rid = st.integers(min_value=0, max_value=len(item_bags) - 1)
+        blocks = data.draw(st.lists(st.frozensets(rid), max_size=5))
+        scorer = BlockScorer(method=method, weights=weights, geo_lookup=lookup)
+        corpus = InternedCorpus(item_bags)
+        scalar = [scorer.score_block(block, item_bags) for block in blocks]
+        pairs = sorted(
+            {pair for block in blocks for pair in combinations(sorted(block), 2)}
+        )
+        table = dict(zip(pairs, scorer.pair_similarity_batch(corpus, pairs)))
+        for batch in (
+            scorer.score_blocks_batch(blocks, corpus),
+            scorer.score_blocks_batch(blocks, corpus, table),
+        ):
+            assert reprs(batch) == reprs(scalar)
 
 
 class TestChunkingInvariance:

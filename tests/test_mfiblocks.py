@@ -167,3 +167,143 @@ class TestScoringVariants:
         ).run(dataset)
         assert uniform.candidate_pairs  # sanity
         assert expert.candidate_pairs
+
+
+class _ScalarScorer(BlockScorer):
+    """The oracle scorer: every batch method replaced by scalar calls."""
+
+    def pair_similarity_batch(self, corpus, pairs):
+        return [
+            self.pair_similarity(corpus.bags[a], corpus.bags[b])
+            for a, b in pairs
+        ]
+
+    def score_blocks_batch(self, blocks, corpus, table=None):
+        return [self.score_block(records, corpus.bags) for records in blocks]
+
+
+def _scorer(method, cls=BlockScorer):
+    from repro.blocking.scoring import DEFAULT_EXPERT_WEIGHTS
+
+    weights = (
+        dict(DEFAULT_EXPERT_WEIGHTS) if method is ScoringMethod.EXPERT
+        else None
+    )
+    return cls(method=method, weights=weights)
+
+
+class TestEachPairScoredOnce:
+    """One run-wide pair table: each distinct candidate-block pair is
+    scored exactly once, and the result equals a scalar oracle."""
+
+    PERSONS = 120
+    NG = 3.5
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        from repro.gates import build_dataset
+
+        return build_dataset(self.PERSONS)
+
+    @pytest.fixture(scope="class")
+    def oracles(self, dataset):
+        return {
+            method: MFIBlocks(
+                MFIBlocksConfig(ng=self.NG, scoring=_scorer(method, _ScalarScorer))
+            ).run(dataset)
+            for method in ScoringMethod
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", list(ScoringMethod))
+    def test_pairs_scored_once_and_result_equals_scalar_oracle(
+        self, dataset, oracles, monkeypatch, method, workers
+    ):
+        from itertools import combinations
+
+        from repro.obs import Tracer
+        from repro.parallel import MultiprocessExecutor
+        from repro.parallel.work import score_pair_chunk
+
+        scored = []
+        block_pairs = set()
+        dispatched = []
+        dispatching = []
+        score_blocks = BlockScorer.score_blocks_batch
+        pair_batch = BlockScorer.pair_similarity_batch
+
+        def spy_blocks(self, blocks, corpus, table=None):
+            for members in blocks:
+                block_pairs.update(combinations(sorted(members), 2))
+            return score_blocks(self, blocks, corpus, table)
+
+        def spy_pairs(self, corpus, pairs):
+            if not dispatching:  # an inline-run chunk is counted below
+                scored.extend(pairs)
+            return pair_batch(self, corpus, pairs)
+
+        monkeypatch.setattr(BlockScorer, "score_blocks_batch", spy_blocks)
+        monkeypatch.setattr(BlockScorer, "pair_similarity_batch", spy_pairs)
+
+        executor = MultiprocessExecutor(workers) if workers > 1 else None
+        if executor is not None:
+            map_chunks = executor.map_chunks
+
+            def spy_map(fn, payloads, **kwargs):
+                payloads = list(payloads)
+                if fn is score_pair_chunk:
+                    dispatched.append(len(payloads))
+                    for _ref, pairs in payloads:
+                        scored.extend(pairs)
+                dispatching.append(fn)
+                try:
+                    return map_chunks(fn, payloads, **kwargs)
+                finally:
+                    dispatching.pop()
+
+            monkeypatch.setattr(executor, "map_chunks", spy_map)
+        tracer = Tracer()
+        try:
+            result = MFIBlocks(
+                MFIBlocksConfig(ng=self.NG, scoring=_scorer(method)),
+                tracer=tracer,
+                executor=executor,
+            ).run(dataset)
+        finally:
+            if executor is not None:
+                executor.close()
+
+        assert len(scored) == len(set(scored)), "a pair was scored twice"
+        assert sorted(scored) == sorted(block_pairs)
+        counters = tracer.aggregate.counters
+        assert counters["mfiblocks.pairs_scored"] == len(block_pairs)
+        assert counters["mfiblocks.pairs_reused"] > 0
+        if executor is not None:
+            # The fill really went through score_pair_chunk dispatches.
+            assert dispatched and max(dispatched) > 1
+
+        oracle = oracles[method]
+        assert [(b.records, b.key) for b in result.blocks] == [
+            (b.records, b.key) for b in oracle.blocks
+        ]
+        assert [repr(b.score) for b in result.blocks] == [
+            repr(b.score) for b in oracle.blocks
+        ]
+        assert list(result.pair_scores) == list(oracle.pair_scores)
+        assert [repr(s) for s in result.pair_scores.values()] == [
+            repr(s) for s in oracle.pair_scores.values()
+        ]
+
+    @pytest.mark.parametrize("method", list(ScoringMethod))
+    def test_scalar_oracle_is_scalar(self, dataset, oracles, method):
+        # The oracle's numbers are the scalar scorer's own: each block
+        # score is score_block, each pair score pair_similarity.
+        scorer = _scorer(method)
+        bags = dataset.item_bags
+        oracle = oracles[method]
+        for block in oracle.blocks:
+            assert repr(block.score) == repr(
+                scorer.score_block(block.records, bags)
+            )
+        for (a, b), score in oracle.pair_scores.items():
+            assert repr(score) == repr(scorer.pair_similarity(bags[a], bags[b]))

@@ -20,6 +20,8 @@ from repro.parallel import (
     SerialExecutor,
 )
 from repro.sanitize import (
+    EXPERTSIM_DISPATCH,
+    EXPERTSIM_SUFFIX,
     SCORING_DISPATCHES,
     Cell,
     build_parser,
@@ -150,22 +152,26 @@ class TestRunScheduleSanitizeWithFakeRunner:
             return "header\nrow\n"
 
         config = GateConfig(seeds=(1, 2), workers=(1, 2))
-        plain, classified = run_schedule(config, runner, tmp_path)
-        assert plain.ok and classified.ok
+        plain, classified, expertsim = run_schedule(config, runner, tmp_path)
+        assert plain.ok and classified.ok and expertsim.ok
         assert plain.diff is None
         # Serial oracle first, then the seed x workers matrix, then the
-        # traced cells; the classified gate's oracle, then one hostile
-        # classified cell per seed at the widest worker count.
+        # traced cells; the classified and the ExpertSim gates' oracles,
+        # each followed by one hostile cell of their kind per seed at
+        # the widest worker count.
         assert calls == [
             Cell(), Cell(1, 1), Cell(1, 2), Cell(2, 1), Cell(2, 2),
             Cell(None, 1, traced=True), Cell(None, 2, traced=True),
             Cell(classify=True), Cell(1, 2, classify=True),
             Cell(2, 2, classify=True),
+            Cell(expert_sim=True), Cell(1, 2, expert_sim=True),
+            Cell(2, 2, expert_sim=True),
         ]
         assert [r.label for r in plain.runs][-2:] == [
             "traced workers=1", "traced workers=2"
         ]
         assert classified.oracle == "classified serial"
+        assert expertsim.oracle == "expertsim serial"
 
     def test_divergent_cell_detected_with_diff(self, tmp_path):
         def runner(cell):
@@ -174,7 +180,7 @@ class TestRunScheduleSanitizeWithFakeRunner:
             return "header\nrow\n"
 
         config = GateConfig(seeds=(1, 2), workers=(1, 4))
-        plain, classified = run_schedule(config, runner, tmp_path)
+        plain, classified, expertsim = run_schedule(config, runner, tmp_path)
         assert [r.label for r in plain.runs if not r.ok] == [
             "schedule_seed=2 workers=4"
         ]
@@ -184,13 +190,16 @@ class TestRunScheduleSanitizeWithFakeRunner:
         assert [r.label for r in classified.runs if not r.ok] == [
             "classified schedule_seed=2 workers=4"
         ]
+        assert [r.label for r in expertsim.runs if not r.ok] == [
+            "expertsim schedule_seed=2 workers=4"
+        ]
 
     def test_diff_keeps_first_divergence(self, tmp_path):
         def runner(cell):
             return "base\n" if cell.seed is None else f"seed{cell.seed}\n"
 
         config = GateConfig(seeds=(1, 2), workers=(1,))
-        plain, _ = run_schedule(config, runner, tmp_path)
+        plain, _, _ = run_schedule(config, runner, tmp_path)
         assert [r.status for r in plain.runs] == [
             "DIVERGED", "DIVERGED", "identical", "identical"
         ]
@@ -223,20 +232,26 @@ class TestEndToEnd:
         # matrix runs in CI via `repro sanitize --schedule`.
         config = GateConfig(persons=120, seeds=(1,), workers=(1, 2))
         shuffled = set()
-        plain, classified = run_schedule(
+        plain, classified, expertsim = run_schedule(
             config, inprocess_runner(config.persons, shuffled), tmp_path
         )
         assert plain.ok, plain.diff
         assert classified.ok, classified.diff
+        assert expertsim.ok, expertsim.diff
         assert plain.text.startswith(
             "book_id_a,book_id_b,similarity,confidence\n"
         )
-        # Two hostile cells and the two traced cells; one classified.
+        # Two hostile cells and the two traced cells; one classified,
+        # one ExpertSim.
         assert len(plain.runs) == 4
         assert len(classified.runs) == 1
-        # Both scoring merges really ran in a hostile order, not just
-        # the mining shards.
-        assert shuffled == {*SCORING_DISPATCHES, "fpgrowth.shards"}
+        assert len(expertsim.runs) == 1
+        # Every scoring merge really ran in a hostile order, not just
+        # the mining shards — the ExpertSim pair-table fill included.
+        assert shuffled == {
+            *SCORING_DISPATCHES, "fpgrowth.shards", EXPERTSIM_DISPATCH,
+            "fpgrowth.shards" + EXPERTSIM_SUFFIX,
+        }
 
     def test_tiny_corpus_never_shuffles_scoring(self, tmp_path):
         config = GateConfig(persons=16, seeds=(1,), workers=(2,))
@@ -245,7 +260,7 @@ class TestEndToEnd:
             config, inprocess_runner(config.persons, shuffled), tmp_path
         )
         assert all(result.ok for result in results)
-        assert not shuffled & set(SCORING_DISPATCHES)
+        assert not shuffled & {*SCORING_DISPATCHES, EXPERTSIM_DISPATCH}
 
     def test_cli_refuses_a_sweep_that_shuffled_no_scoring(self, capsys):
         assert sanitize_main(
@@ -255,7 +270,10 @@ class TestEndToEnd:
             ]
         ) == 2
         err = capsys.readouterr().err
-        assert all(dispatch in err for dispatch in SCORING_DISPATCHES)
+        assert all(
+            dispatch in err
+            for dispatch in (*SCORING_DISPATCHES, EXPERTSIM_DISPATCH)
+        )
 
 
 class TestCommandLine:
