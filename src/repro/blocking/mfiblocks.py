@@ -231,8 +231,9 @@ class MFIBlocks(BlockingAlgorithm):
 
         # Support finding and block scoring used to share one span;
         # they are separated so ``mfiblocks.score`` measures exactly
-        # the batched scoring compute lane (the perf ledger's batch-
-        # throughput metric is pairs_pre_cs_sn / this span's seconds).
+        # the pair-table fill plus the block means read from it (the
+        # perf ledger's batch-throughput metric is
+        # mfiblocks.pairs_scored / this span's seconds).
         with tracer.span("mfiblocks.support", minsup=minsup):
             index = self._index_for(uncovered, item_bags)
             max_size = int(minsup * config.ng)

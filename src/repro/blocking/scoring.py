@@ -171,29 +171,18 @@ class BlockScorer:
         self,
         blocks: Sequence[Sequence[int]],
         corpus: InternedCorpus,
-        table: Optional[Mapping[Tuple[int, int], float]] = None,
+        table: Mapping[Tuple[int, int], float],
     ) -> List[float]:
         """Batch form of :meth:`score_block` for many blocks at once.
 
-        Member-pair similarities come from ``table`` (pair -> score,
-        holding every member pair of every block) or, without one, from
-        one kernel call over the distinct member pairs. Per-block
-        accumulation then replays :meth:`score_block`'s pair order and
-        sequential float addition, so each returned mean is
-        byte-identical to the scalar aggregate.
+        Member-pair similarities are read from ``table`` (pair -> score,
+        holding every member pair of every block, each filled by
+        :meth:`pair_similarity_batch`). Per-block accumulation replays
+        :meth:`score_block`'s pair order and sequential float addition,
+        so each returned mean is byte-identical to the scalar aggregate.
         """
-        members_list = [sorted(records) for records in blocks]
-        if table is None:
-            pairs = list(
-                dict.fromkeys(
-                    pair
-                    for members in members_list
-                    for pair in combinations(members, 2)
-                )
-            )
-            table = dict(zip(pairs, self.pair_similarity_batch(corpus, pairs)))
         out: List[float] = []
-        for members in members_list:
+        for members in (sorted(records) for records in blocks):
             if len(members) < 2:
                 out.append(0.0)
                 continue

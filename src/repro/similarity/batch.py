@@ -30,7 +30,7 @@ Bit-identity arguments, per kernel:
 
   - *Order.* The scalar sorts each side's unshared items by ``repr``
     and claims in that order, first best wins. The corpus ranks every
-    vocabulary id by ``repr`` once, at construction
+    vocabulary id by ``repr`` once, on first use
     (:attr:`~repro.similarity.interning.InternedCorpus.repr_rank`);
     distinct items have distinct reprs, so an integer sort by rank is
     the same total order. Each record's ids are sorted by rank once per

@@ -39,6 +39,7 @@ without any per-chunk corpus pickling.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,16 +149,6 @@ class InternedCorpus:
 
         n_records = len(rids)
         n_items = len(vocab)
-        #: Position of every vocabulary id in ``repr`` order — the
-        #: canonical order the scalar soft Jaccard sorts its leftover
-        #: items into, as an integer sort key. Distinct items have
-        #: distinct reprs, so the order is total.
-        repr_rank = [0] * n_items
-        for rank, item_id in enumerate(
-            sorted(range(n_items), key=lambda i: repr(vocab[i]))
-        ):
-            repr_rank[item_id] = rank
-        self.repr_rank: Tuple[int, ...] = tuple(repr_rank)
         n_words = max(1, (n_items + _WORD_BITS - 1) // _WORD_BITS)
         bits = np.zeros((n_records, n_words), dtype=np.uint64)
         id_of = self.id_of
@@ -229,6 +220,23 @@ class InternedCorpus:
         self._weights_cache: Dict[
             Tuple[float, ...], Optional[ScaledWeights]
         ] = {}
+
+    @cached_property
+    def repr_rank(self) -> Tuple[int, ...]:
+        """Position of every vocabulary id in ``repr`` order.
+
+        This is the canonical order the scalar soft Jaccard sorts its
+        leftover items into, as an integer sort key. Distinct items
+        have distinct reprs, so the order is total. Only the soft
+        Jaccard kernel reads it, so it is built on first use.
+        """
+        vocab = self.vocab
+        rank_of = [0] * len(vocab)
+        for rank, item_id in enumerate(
+            sorted(range(len(vocab)), key=lambda i: repr(vocab[i]))
+        ):
+            rank_of[item_id] = rank
+        return tuple(rank_of)
 
     # -- row lookups ---------------------------------------------------------
 

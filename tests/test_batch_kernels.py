@@ -401,7 +401,7 @@ class TestSoftJaccardScalarFallback:
 
 class TestBlockScoresMatchScalar:
     """score_blocks_batch == score_block, block by block, with the
-    member-pair scores computed in the call or read from a table."""
+    member-pair scores read from a table filled by the batch kernel."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -421,11 +421,8 @@ class TestBlockScoresMatchScalar:
             {pair for block in blocks for pair in combinations(sorted(block), 2)}
         )
         table = dict(zip(pairs, scorer.pair_similarity_batch(corpus, pairs)))
-        for batch in (
-            scorer.score_blocks_batch(blocks, corpus),
-            scorer.score_blocks_batch(blocks, corpus, table),
-        ):
-            assert reprs(batch) == reprs(scalar)
+        batch = scorer.score_blocks_batch(blocks, corpus, table)
+        assert reprs(batch) == reprs(scalar)
 
 
 class TestChunkingInvariance:

@@ -178,7 +178,7 @@ class _ScalarScorer(BlockScorer):
             for a, b in pairs
         ]
 
-    def score_blocks_batch(self, blocks, corpus, table=None):
+    def score_blocks_batch(self, blocks, corpus, table):
         return [self.score_block(records, corpus.bags) for records in blocks]
 
 
@@ -232,7 +232,7 @@ class TestEachPairScoredOnce:
         score_blocks = BlockScorer.score_blocks_batch
         pair_batch = BlockScorer.pair_similarity_batch
 
-        def spy_blocks(self, blocks, corpus, table=None):
+        def spy_blocks(self, blocks, corpus, table):
             for members in blocks:
                 block_pairs.update(combinations(sorted(members), 2))
             return score_blocks(self, blocks, corpus, table)

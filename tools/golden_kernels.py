@@ -16,7 +16,7 @@ Fixtures live in ``tests/fixtures/golden_kernels/``:
   missing features as empty cells;
 * ``ranked_pairs.csv`` — the same pairs ranked by descending weighted
   similarity: ``rank,a,b`` then one column per entry of
-  :data:`RANKED_SCORERS` — all three
+  :data:`RANKED_COLUMNS` (scorers built by :func:`ranked_scorers`) — all three
   :class:`~repro.blocking.scoring.ScoringMethod` kernels, plus Eq.-1
   soft Jaccard under :data:`~repro.blocking.scoring.DEFAULT_EXPERT_WEIGHTS`
   (the ExpertSim-on-Expert-Weighting condition) without and with a
