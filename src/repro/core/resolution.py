@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -29,8 +30,13 @@ __all__ = ["PairEvidence", "ResolutionResult", "connected_components"]
 
 Pair = Tuple[int, int]
 
+#: ``slots=True`` where the interpreter has it (3.10+): a resolution
+#: holds one evidence object per candidate pair, and a slotted instance
+#: carries no per-instance ``__dict__``.
+_SLOTTED: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, **_SLOTTED)
 class PairEvidence:
     """Everything the pipeline learned about one candidate pair."""
 

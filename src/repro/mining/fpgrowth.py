@@ -168,36 +168,46 @@ class _MFIStore:
     """Stores discovered MFIs and answers subsumption queries.
 
     ``is_subsumed(candidate)`` is true when some stored MFI is a superset
-    of (or equal to) the candidate. An inverted index item → MFI ids keeps
-    the check near-constant for typical candidates.
+    of (or equal to) the candidate. The inverted index is a posting
+    *bitset* per item: a Python ``int`` whose bit *k* is set when MFI
+    number *k* contains the item. A query ANDs the candidate's postings
+    and stops at the first missing item or empty intersection, so no
+    posting is ever copied.
+
+    ``trees_built`` and ``heads_pruned`` count, over one mine, the
+    conditional FP-trees :func:`_fpmax` built and recursed into and the
+    pattern bases whose head was already subsumed, so no tree was built.
     """
 
     def __init__(self) -> None:
         self.itemsets: List[Tuple[FrozenSet[int], int]] = []
-        self._by_item: Dict[int, Set[int]] = {}
+        self._by_item: Dict[int, int] = {}
+        self.trees_built = 0
+        self.heads_pruned = 0
 
     @pure
-    def is_subsumed(self, candidate: FrozenSet[int]) -> bool:
-        # The surviving-ids set is a pure intersection over the candidate's
-        # posting lists, so the (hash-seed-dependent) visit order of
+    def is_subsumed(self, candidate: AbstractSet[int]) -> bool:
+        # ``hits`` is a pure intersection over the candidate's posting
+        # bitsets, so the (hash-seed-dependent) visit order of
         # ``candidate`` cannot change the outcome.
-        hits: Optional[Set[int]] = None
+        if not candidate:  # empty candidate: any stored MFI subsumes it
+            return bool(self.itemsets)
+        by_item = self._by_item
+        hits = -1
         for item in candidate:
-            postings = self._by_item.get(item)
-            if not postings:
+            if item not in by_item:
                 return False
-            hits = set(postings) if hits is None else hits & postings
+            hits &= by_item[item]
             if not hits:
                 return False
-        if hits is None:  # empty candidate: any stored MFI subsumes it
-            return bool(self.itemsets)
         return True
 
     def add(self, candidate: FrozenSet[int], support: int) -> None:
-        index = len(self.itemsets)
+        bit = 1 << len(self.itemsets)
         self.itemsets.append((candidate, support))
+        by_item = self._by_item
         for item in candidate:
-            self._by_item.setdefault(item, set()).add(index)
+            by_item[item] = by_item.get(item, 0) | bit
 
 
 @hot_path
@@ -249,6 +259,8 @@ def maximal_frequent_itemsets(
         _fpmax(tree, [], minsup, vocabulary.order, store, budget)
     if budget is not None and budget.degraded:
         tracer.count("fpgrowth.budget_exhausted", 1)
+    tracer.count("fpgrowth.trees_built", store.trees_built)
+    tracer.count("fpgrowth.heads_pruned", store.heads_pruned)
     tracer.count("fpgrowth.mfis", len(store.itemsets))
     return [
         Itemset(vocabulary.decode(ids), support) for ids, support in store.itemsets
@@ -296,17 +308,23 @@ def _fpmax(
         if support < minsup:
             continue
         new_suffix = suffix + [item]
-        conditional = FPTree.from_conditional(tree.prefix_paths(item), minsup, order)
-        if conditional.is_empty():
+        paths = tree.prefix_paths(item)
+        # The conditional tree's items are exactly the base's frequent
+        # items: count them first, and build the tree only for a head
+        # that survives the subsumption test.
+        keep = FPTree.frequent_in_base(paths, minsup)
+        if not keep:
             candidate = frozenset(new_suffix)
             if not store.is_subsumed(candidate):
                 store.add(candidate, support)
             continue
         # MFI-tree pruning: if the suffix plus *everything* that could
         # still be added is already covered, the subtree is fruitless.
-        head = frozenset(new_suffix) | set(conditional.items())
-        if store.is_subsumed(head):
+        if store.is_subsumed(keep.union(new_suffix)):
+            store.heads_pruned += 1
             continue
+        conditional = FPTree.from_conditional(paths, minsup, order, keep)
+        store.trees_built += 1
         _fpmax(conditional, new_suffix, minsup, order, store, budget)
         if budget is not None and budget.degraded:
             return

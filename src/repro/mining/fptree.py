@@ -11,7 +11,7 @@ algorithm (and Borgelt's implementation the paper uses).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["FPNode", "FPTree"]
 
@@ -123,24 +123,43 @@ class FPTree:
             path.append((node.item, node.count))
         return path
 
+    @staticmethod
+    def frequent_in_base(
+        paths: Sequence[Tuple[List[int], int]], minsup: int
+    ) -> Set[int]:
+        """Items whose support within a pattern base meets ``minsup``.
+
+        Exactly the items of the conditional tree
+        :meth:`from_conditional` would build from ``paths``, so FPMax
+        can test the tree's head for subsumption before building it.
+        """
+        support: Dict[int, int] = {}
+        for path, count in paths:
+            for item in path:
+                if item in support:
+                    support[item] += count
+                else:
+                    support[item] = count
+        return {item for item, total in support.items() if total >= minsup}
+
     @classmethod
     def from_conditional(
         cls,
         paths: Sequence[Tuple[List[int], int]],
         minsup: int,
         order: Dict[int, int],
+        keep: Optional[AbstractSet[int]] = None,
     ) -> "FPTree":
         """Build a conditional FP-tree from a pattern base.
 
         Items failing ``minsup`` within the base are dropped; surviving
         items keep the *global* frequency order (``order`` maps item →
         rank, lower rank = more frequent) so the tree stays canonical.
+        ``keep`` passes in :meth:`frequent_in_base` of ``paths`` when
+        the caller has already counted it.
         """
-        support: Dict[int, int] = {}
-        for path, count in paths:
-            for item in path:
-                support[item] = support.get(item, 0) + count
-        keep = {item for item, total in support.items() if total >= minsup}
+        if keep is None:
+            keep = cls.frequent_in_base(paths, minsup)
         tree = cls()
         for path, count in paths:
             filtered = [item for item in path if item in keep]

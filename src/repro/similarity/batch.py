@@ -93,8 +93,25 @@ __all__ = [
 _FLOAT_EXACT_DEN = 1 << 1022
 
 
+#: Byte budget of one ``uint64[rows, n_words]`` bitset temporary. The
+#: set-overlap kernels walk ``pairs`` in row slices of this size, so
+#: their transient memory stays flat however many pairs one call gets;
+#: every score is a pure per-pair function, so slicing changes no bit.
+SLICE_BYTES = 4 << 20
+
+
 def _popcount_rows(bits2d: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits2d).sum(axis=1, dtype=np.int64)
+
+
+def _row_slices(corpus: InternedCorpus, n_pairs: int) -> List[slice]:
+    """Consecutive slices of ``range(n_pairs)`` within :data:`SLICE_BYTES`."""
+    bits = corpus.bits
+    rows = max(1, SLICE_BYTES // (bits.shape[1] * bits.itemsize))
+    return [
+        slice(start, min(start + rows, n_pairs))
+        for start in range(0, n_pairs, rows)
+    ]
 
 
 @batch_kernel
@@ -105,13 +122,16 @@ def jaccard_items_batch(
     """Plain Jaccard for every pair; ≡ :func:`jaccard_items` per pair."""
     if not pairs:
         return []
-    a_rows, b_rows = corpus.pair_rows(pairs)
-    inter = _popcount_rows(corpus.bits[a_rows] & corpus.bits[b_rows])
-    union = corpus.sizes[a_rows] + corpus.sizes[b_rows] - inter
-    # union == 0 iff both bags are empty, which the scalar defines as
-    # 1.0; the maximum() only guards the division at those positions.
-    out = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-    result: List[float] = out.tolist()
+    all_a, all_b = corpus.pair_rows(pairs)
+    result: List[float] = []
+    for rows in _row_slices(corpus, len(pairs)):
+        a_rows, b_rows = all_a[rows], all_b[rows]
+        inter = _popcount_rows(corpus.bits[a_rows] & corpus.bits[b_rows])
+        union = corpus.sizes[a_rows] + corpus.sizes[b_rows] - inter
+        # union == 0 iff both bags are empty, which the scalar defines
+        # as 1.0; the maximum() only guards the division there.
+        out = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+        result.extend(out.tolist())
     return result
 
 
@@ -135,7 +155,20 @@ def weighted_jaccard_items_batch(
             weighted_jaccard_items(bags[a], bags[b], weights, default_weight)
             for a, b in pairs
         ]
-    a_rows, b_rows = corpus.pair_rows(pairs)
+    all_a, all_b = corpus.pair_rows(pairs)
+    out: List[float] = []
+    for rows in _row_slices(corpus, len(pairs)):
+        out.extend(_weighted_slice(corpus, all_a[rows], all_b[rows], scaled))
+    return out
+
+
+def _weighted_slice(
+    corpus: InternedCorpus,
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+    scaled: ScaledWeights,
+) -> List[float]:
+    """:func:`weighted_jaccard_items_batch` over one row slice."""
     and_bits = corpus.bits[a_rows] & corpus.bits[b_rows]
     if (
         scaled.vec64 is not None
@@ -160,7 +193,7 @@ def weighted_jaccard_items_batch(
     ).tolist()
     denominator = scaled.denominator
     out: List[float] = []
-    for index in range(len(pairs)):
+    for index in range(len(a_rows)):
         if both_empty[index]:
             out.append(1.0)
             continue

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -453,6 +454,46 @@ class TestChunkingInvariance:
                 value for chunk in chunks for value in kernel(corpus, chunk)
             ]
             assert reprs(pieces) == reprs(whole)
+
+
+class TestRowSlicing:
+    """The set-overlap kernels' byte-budgeted row slices change no bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpora_with_pairs(max_pairs=16),
+        weight_tables,
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_sliced_kernels_match_scalar(self, case, weights, rows):
+        item_bags, pairs = case
+        corpus = InternedCorpus(item_bags)
+        row_bytes = corpus.bits.shape[1] * corpus.bits.itemsize
+        with patch.object(batch_module, "SLICE_BYTES", rows * row_bytes):
+            assert all(
+                part.stop - part.start <= rows
+                for part in batch_module._row_slices(corpus, len(pairs))
+            )
+            plain = jaccard_items_batch(corpus, pairs)
+            weighted = weighted_jaccard_items_batch(corpus, pairs, weights)
+        assert reprs(plain) == reprs(
+            [jaccard_items(item_bags[a], item_bags[b]) for a, b in pairs]
+        )
+        assert reprs(weighted) == reprs(
+            [
+                weighted_jaccard_items(item_bags[a], item_bags[b], weights)
+                for a, b in pairs
+            ]
+        )
+
+    def test_slices_cover_every_pair_once(self):
+        corpus = InternedCorpus({0: frozenset()})
+        with patch.object(batch_module, "SLICE_BYTES", 3 * 8):
+            parts = batch_module._row_slices(corpus, 10)
+        assert [(part.start, part.stop) for part in parts] == [
+            (0, 3), (3, 6), (6, 9), (9, 10),
+        ]
+        assert batch_module._row_slices(corpus, 0) == []
 
 
 class TestBatchFeatureExtractor:

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mining.fpgrowth import (
+    _MFIStore,
     frequent_itemsets,
     maximal_frequent_itemsets,
     maximal_via_filter,
 )
+from repro.resilience.budgets import BudgetMeter, StageBudget
 
 UNIVERSE = list("abcdefg")
 
@@ -136,3 +138,67 @@ class TestMaximalItemsets:
         result = maximal_frequent_itemsets([{"a", "b"}, {"a", "b"}], 2)
         assert len(result) == 1
         assert len(result[0]) == 2
+
+
+item_ids = st.frozensets(st.integers(min_value=0, max_value=9), max_size=6)
+store_ops = st.lists(
+    st.tuples(st.sampled_from(["add", "query"]), item_ids), max_size=40
+)
+
+
+class TestMFIStore:
+    """The posting-bitset store answers exactly the brute-force question."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(store_ops)
+    def test_is_subsumed_matches_brute_force(self, ops):
+        store = _MFIStore()
+        for op, items in ops:
+            if op == "add":
+                store.add(items, len(store.itemsets) + 1)
+                continue
+            expected = any(items <= kept for kept, _ in store.itemsets)
+            assert store.is_subsumed(items) == expected
+        # The empty candidate is subsumed iff the store holds any MFI.
+        assert store.is_subsumed(frozenset()) == bool(store.itemsets)
+
+    def test_empty_store_subsumes_nothing(self):
+        store = _MFIStore()
+        assert not store.is_subsumed(frozenset())
+        assert not store.is_subsumed(frozenset({0}))
+
+    def test_empty_mfi_subsumes_only_the_empty_candidate(self):
+        store = _MFIStore()
+        store.add(frozenset(), 3)
+        assert store.is_subsumed(frozenset())
+        assert not store.is_subsumed(frozenset({1}))
+
+
+def _budgeted(transactions, minsup, iterations):
+    meter = BudgetMeter(StageBudget(max_iterations=iterations))
+    mined = maximal_frequent_itemsets(transactions, minsup, budget=meter)
+    return [(m.items, m.support) for m in mined], meter.degraded
+
+
+class TestBudgetPrefix:
+    """An iteration budget cuts the serial discovery order, nothing else."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(transactions_strategy, st.integers(min_value=1, max_value=4))
+    def test_budgeted_lists_are_growing_prefixes(self, transactions, minsup):
+        full = [
+            (m.items, m.support)
+            for m in maximal_frequent_itemsets(transactions, minsup)
+        ]
+        previous = 0
+        iterations = 1
+        while True:
+            cut, degraded = _budgeted(transactions, minsup, iterations)
+            assert cut == full[: len(cut)]
+            assert len(cut) >= previous
+            previous = len(cut)
+            if not degraded:
+                break
+            iterations += 1
+        # The first budget the search fits in returns the whole list.
+        assert cut == full

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import sys
+
 import pytest
 
 from repro.core.resolution import (
@@ -138,3 +142,72 @@ class TestPersistence:
         assert [e.pair for e in loaded.ranked()] == [
             e.pair for e in result.ranked()
         ]
+
+
+#: ``to_csv`` / ``to_json`` of ``evidence_set()`` with ``n_records=9``:
+#: the ranked artifacts, pinned byte for byte.
+EXPECTED_CSV = (
+    b"book_id_a,book_id_b,similarity,confidence\r\n"
+    b"1,2,0.9000,2.0000\r\n"
+    b"2,3,0.6000,0.5000\r\n"
+    b"6,7,0.4000,\r\n"
+)
+
+
+def _expected_json():
+    entries = [
+        ((1, 2), "0.9", "2.0"),
+        ((2, 3), "0.6", "0.5"),
+        ((6, 7), "0.4", "null"),
+        ((4, 5), "0.8", "-1.0"),
+    ]
+    blocks = [
+        "  {\n"
+        f'   "pair": [\n    {a},\n    {b}\n   ],\n'
+        f'   "similarity": {similarity},\n'
+        f'   "confidence": {confidence},\n'
+        '   "same_source": false\n'
+        "  }"
+        for (a, b), similarity, confidence in entries
+    ]
+    return (
+        '{\n "n_records": 9,\n "degraded": false,\n "evidence": [\n'
+        + ",\n".join(blocks)
+        + "\n ]\n}"
+    ).encode()
+
+
+class TestSlottedEvidence:
+    def test_pickle_round_trip(self):
+        for evidence in evidence_set():
+            restored = pickle.loads(pickle.dumps(evidence))
+            assert restored == evidence
+            assert hash(restored) == hash(evidence)
+
+    def test_replace(self):
+        evidence = PairEvidence((1, 2), similarity=0.9)
+        changed = dataclasses.replace(evidence, confidence=1.5)
+        assert changed == PairEvidence((1, 2), similarity=0.9, confidence=1.5)
+        assert evidence.confidence is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            evidence.similarity = 0.1  # type: ignore[misc]
+
+    def test_eq_and_hash(self):
+        first = PairEvidence((1, 2), similarity=0.9, same_source=True)
+        second = PairEvidence((1, 2), similarity=0.9, same_source=True)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != dataclasses.replace(second, same_source=False)
+        assert len({first, second}) == 1
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="slots need 3.10")
+    def test_no_instance_dict(self):
+        evidence = PairEvidence((1, 2), similarity=0.9)
+        assert not hasattr(evidence, "__dict__")
+
+    def test_serialized_bytes_unchanged(self, tmp_path):
+        result = ResolutionResult(evidence_set(), n_records=9)
+        result.to_csv(tmp_path / "ranked.csv")
+        result.to_json(tmp_path / "resolution.json")
+        assert (tmp_path / "ranked.csv").read_bytes() == EXPECTED_CSV
+        assert (tmp_path / "resolution.json").read_bytes() == _expected_json()
