@@ -11,6 +11,14 @@ FP-Growth; this module is a from-scratch pure-Python equivalent:
   sets. An alternative "mine all, filter maximal" path exists for the
   ablation benchmark (``maximal_via_filter``).
 
+Subsumption is the miner's inner test, and two choices keep it cheap.
+Found MFIs are indexed by posting *bitsets* — one Python ``int`` per
+item, bit *k* for MFI *k* — so a query is a short chain of ``&`` with
+no copy (:class:`_MFIStore`). And FPMax tests each pattern base's head
+(the suffix plus the base's frequent items, which are exactly the
+conditional tree's items) *before* it builds the conditional tree, so
+a subsumed branch costs one counting pass, not a tree.
+
 Items may be any hashable values; they are mapped to dense integer ids
 ordered by descending global support internally.
 """
@@ -29,7 +37,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     TypeVar,
 )
@@ -224,7 +231,9 @@ def maximal_frequent_itemsets(
     Returns MFIs as :class:`Itemset` values; the support reported is the
     support of the maximal set itself. An optional tracer times tree
     construction vs. the FPMax recursion and gauges the tree size —
-    Fig. 12's dominant cost, broken down.
+    Fig. 12's dominant cost, broken down — and, on the serial path,
+    counts the conditional trees built against the heads pruned before
+    a build (``fpgrowth.trees_built`` / ``fpgrowth.heads_pruned``).
 
     ``budget`` bounds the FPMax recursion: each node expansion charges
     one unit, and an exhausted meter stops the search, returning the

@@ -93,11 +93,12 @@ __all__ = [
 _FLOAT_EXACT_DEN = 1 << 1022
 
 
-#: Byte budget of one ``uint64[rows, n_words]`` bitset temporary. The
-#: set-overlap kernels walk ``pairs`` in row slices of this size, so
-#: their transient memory stays flat however many pairs one call gets;
-#: every score is a pure per-pair function, so slicing changes no bit.
-SLICE_BYTES = 4 << 20
+#: Byte budget of one ``uint64[rows, width]`` temporary of the
+#: set-overlap kernels. They walk ``pairs`` in row slices of this size,
+#: so their transient memory stays flat however many pairs one call
+#: gets; every score is a pure per-pair function, so slicing changes no
+#: bit.
+SLICE_BYTES = 1 << 20
 
 
 def _popcount_rows(bits2d: np.ndarray) -> np.ndarray:
@@ -105,9 +106,14 @@ def _popcount_rows(bits2d: np.ndarray) -> np.ndarray:
 
 
 def _row_slices(corpus: InternedCorpus, n_pairs: int) -> List[slice]:
-    """Consecutive slices of ``range(n_pairs)`` within :data:`SLICE_BYTES`."""
-    bits = corpus.bits
-    rows = max(1, SLICE_BYTES // (bits.shape[1] * bits.itemsize))
+    """Consecutive slices of ``range(n_pairs)`` within :data:`SLICE_BYTES`.
+
+    The widest temporary is the word-segment popcount table
+    (:meth:`InternedCorpus.seg_counts_of`): each type's id range adds at
+    most one segment to the ``n_words`` bitset words.
+    """
+    width = corpus.bits.shape[1] + len(TYPE_ORDER)
+    rows = max(1, SLICE_BYTES // (width * corpus.bits.itemsize))
     return [
         slice(start, min(start + rows, n_pairs))
         for start in range(0, n_pairs, rows)

@@ -51,7 +51,7 @@ from repro.similarity.features import (
     extract_features,
     extract_features_batch,
 )
-from repro.similarity.interning import InternedCorpus
+from repro.similarity.interning import TYPE_ORDER, InternedCorpus
 from repro.similarity.items import (
     jaccard_items,
     soft_jaccard_items,
@@ -468,7 +468,8 @@ class TestRowSlicing:
     def test_sliced_kernels_match_scalar(self, case, weights, rows):
         item_bags, pairs = case
         corpus = InternedCorpus(item_bags)
-        row_bytes = corpus.bits.shape[1] * corpus.bits.itemsize
+        width = corpus.bits.shape[1] + len(TYPE_ORDER)
+        row_bytes = width * corpus.bits.itemsize
         with patch.object(batch_module, "SLICE_BYTES", rows * row_bytes):
             assert all(
                 part.stop - part.start <= rows
@@ -488,7 +489,8 @@ class TestRowSlicing:
 
     def test_slices_cover_every_pair_once(self):
         corpus = InternedCorpus({0: frozenset()})
-        with patch.object(batch_module, "SLICE_BYTES", 3 * 8):
+        row_bytes = (1 + len(TYPE_ORDER)) * 8
+        with patch.object(batch_module, "SLICE_BYTES", 3 * row_bytes):
             parts = batch_module._row_slices(corpus, 10)
         assert [(part.start, part.stop) for part in parts] == [
             (0, 3), (3, 6), (6, 9), (9, 10),

@@ -190,7 +190,7 @@ class TestSlottedEvidence:
         assert changed == PairEvidence((1, 2), similarity=0.9, confidence=1.5)
         assert evidence.confidence is None
         with pytest.raises(dataclasses.FrozenInstanceError):
-            evidence.similarity = 0.1  # type: ignore[misc]
+            evidence.similarity = 0.1
 
     def test_eq_and_hash(self):
         first = PairEvidence((1, 2), similarity=0.9, same_source=True)
