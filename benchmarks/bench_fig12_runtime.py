@@ -9,6 +9,11 @@ decreases, roughly linearly with dataset size, and pruning cuts it by a
 large factor. We run laptop-scale corpora (the paper used 600k and 6.5M
 records on a 24-core server); the curves' shape is the reproduction
 target.
+
+One more point sits under the table: the full-size ItalySet analogue
+(``build_italy_set(scale=1.0)``, about 9.4K records; the paper's
+ItalySet has 9,499) mined unpruned at minsup 5 — the setting Table 9
+fixes, at the scale the paper ran it.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ import time
 import pytest
 from bench_common import emit, emit_report
 
-from repro.datagen import build_corpus
+from repro.datagen import build_corpus, build_italy_set
 from repro.evaluation import format_series
 from repro.mining import maximal_frequent_itemsets, prune_frequent_items
 from repro.obs import Tracer
 
 MINSUPS = (5, 4, 3)
 PRUNE_FRACTION = 0.003
+#: The full-size ItalySet point: unpruned, at Table 9's minsup.
+ITALY_MINSUP = 5
 
 
 def _mine_times(transactions, minsups):
@@ -62,6 +69,16 @@ def test_fig12_runtime_by_minsup(corpora, benchmark):
         "minsup", list(MINSUPS), series,
         title=(f"Figure 12 analogue - FPMax runtime in seconds "
                f"({len(large)} vs {len(small)} records, prune={PRUNE_FRACTION:.1%})"),
+    )
+    italy, _ = build_italy_set(scale=1.0)
+    italy_transactions = list(italy.item_bags.values())
+    start = time.perf_counter()
+    italy_mfis = maximal_frequent_itemsets(italy_transactions, ITALY_MINSUP)
+    italy_seconds = time.perf_counter() - start
+    table += (
+        f"\n\nFull-size ItalySet ({len(italy)} records), unpruned, "
+        f"minsup {ITALY_MINSUP}: {italy_seconds:.3f} s, "
+        f"{len(italy_mfis)} MFIs"
     )
     emit("fig12_runtime", table)
 
