@@ -33,10 +33,10 @@ def emit_report(
     benchmark tree and the CLI are directly comparable. ``parallel``
     fills the report's executor block (docs/PARALLELISM.md); timing
     benchmarks should always record at least ``workers`` and
-    ``cpu_count`` there so BENCH_*.json entries stay comparable across
-    machines. ``parallel_profile`` carries the per-chunk overhead
-    ledger (``executor.profile_echo()``) that ``repro perf diff`` and
-    ``repro profile --timeline`` consume.
+    ``cpu_count`` there so reports from different machines can be
+    told apart. ``parallel_profile`` carries the per-chunk overhead
+    ledger (``executor.profile_echo()``) that ``repro profile
+    --timeline`` renders.
     """
     if tracer.aggregate is None:
         raise ValueError("emit_report needs an enabled tracer")

@@ -102,9 +102,9 @@ def test_fig12_runtime_by_minsup(corpora, benchmark):
     maximal_frequent_itemsets(
         list(small.item_bags.values()), MINSUPS[-1], tracer=tracer
     )
-    # Worker and CPU counts make BENCH_*.json entries comparable across
-    # machines: a 1-worker time from a 24-core box and one from a
-    # laptop are different experiments.
+    # Worker and CPU counts tell reports from different machines apart:
+    # a 1-worker time from a 24-core box and one from a laptop are
+    # different experiments.
     emit_report(
         "fig12_mining", tracer,
         config={"label": f"FPMax minsup={MINSUPS[-1]}"},

@@ -144,8 +144,7 @@ def test_parallel_speedup_and_parity(corpus, benchmark, request):
     cpu_count, cpu_usable = _cpu_counts()
     if max(WORKER_COUNTS) > cpu_usable:
         # An oversubscribed sweep measures queue wait, not throughput;
-        # say so where the table is read (the perf ledger keeps the
-        # numbers comparable to same-shaped boxes either way).
+        # say so where the table is read.
         print(
             f"WARNING: sweeping up to {max(WORKER_COUNTS)} workers on "
             f"{cpu_usable} usable CPUs - expect queue-wait-bound "

@@ -16,25 +16,17 @@ For each mode it reports sustained records/sec and the p99 add-batch
 latency, and asserts the invariant that makes the comparison honest:
 the ranked output is identical across all three — durability is a
 latency cost, never a semantics change.
-
-The run report (``results/streaming.report.json``) feeds the perf
-ledger; its counters are workload-deterministic (batches, records,
-commits), while throughput and latency ride in gauges and
-``parallel.wall_seconds`` where ``repro perf diff`` applies its
-noise-floored ratio check.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from bench_common import emit, emit_report
+from bench_common import emit
 
 from repro.core import PipelineConfig
 from repro.core.incremental import IncrementalResolver
 from repro.evaluation import format_table
-from repro.obs import Tracer
 from repro.resilience.wal import WriteAheadLog
 
 BATCH_SIZE = 32
@@ -51,7 +43,7 @@ def _ranked_lines(resolution):
     return lines
 
 
-def _stream(head, tail, config, wal=None, tracer=None):
+def _stream(head, tail, config, wal=None):
     """Stream ``tail`` in batches; returns (lines, stats dict)."""
     resolver = IncrementalResolver(head, config, wal=wal)
     batches = [
@@ -65,14 +57,6 @@ def _stream(head, tail, config, wal=None, tracer=None):
         resolver.add_records(batch)
         latencies.append(time.perf_counter() - tick)
     total = time.perf_counter() - start
-    if tracer is not None:
-        tracer.count("ingest.batches", len(batches))
-        tracer.count("ingest.records_added", len(tail))
-        if wal is not None:
-            tracer.count(
-                "wal.batches_committed",
-                resolver.wal_counters()["batches_committed"],
-            )
     if wal is not None:
         wal.close()
     latencies.sort()
@@ -95,7 +79,6 @@ def test_streaming_durability_cost(italy, benchmark, tmp_path):
     tail = [dataset[rid] for rid in ids[len(ids) // 2:]]
     config = PipelineConfig(max_minsup=5, ng=3.0, expert_weighting=True)
 
-    tracer = Tracer()
     lines = {}
     stats = {}
     lines["in-memory"], stats["in-memory"] = _stream(head, tail, config)
@@ -103,12 +86,10 @@ def test_streaming_durability_cost(italy, benchmark, tmp_path):
         head, tail, config,
         wal=WriteAheadLog(tmp_path / "wal-nofsync", fsync=False),
     )
-    with tracer.span("ingest.stream"):
-        lines["wal-fsync"], stats["wal-fsync"] = _stream(
-            head, tail, config,
-            wal=WriteAheadLog(tmp_path / "wal-fsync", fsync=True),
-            tracer=tracer,
-        )
+    lines["wal-fsync"], stats["wal-fsync"] = _stream(
+        head, tail, config,
+        wal=WriteAheadLog(tmp_path / "wal-fsync", fsync=True),
+    )
 
     # Durability must never change the resolution, only its latency.
     for mode in ("wal-nofsync", "wal-fsync"):
@@ -129,21 +110,6 @@ def test_streaming_durability_cost(italy, benchmark, tmp_path):
                f"onto {len(head)} base records"),
     )
     emit("streaming", table)
-
-    for mode in ("in-memory", "wal-nofsync", "wal-fsync"):
-        key = mode.replace("-", "_")
-        tracer.gauge(f"ingest.{key}.records_per_sec",
-                     stats[mode]["records_per_sec"])
-        tracer.gauge(f"ingest.{key}.p99_batch_ms",
-                     stats[mode]["p99_batch_ms"])
-    emit_report(
-        "streaming", tracer,
-        config=config.to_echo(),
-        corpus={"records": len(dataset), "base": len(head),
-                "arrivals": len(tail), "batch_size": BATCH_SIZE},
-        parallel={"workers": 1, "cpu_count": os.cpu_count() or 1,
-                  "wall_seconds": stats["wal-fsync"]["seconds"]},
-    )
 
     # Time one durable batch for pytest-benchmark (fresh ids per round).
     bench_wal = WriteAheadLog(tmp_path / "wal-bench", fsync=True)

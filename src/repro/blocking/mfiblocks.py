@@ -232,7 +232,7 @@ class MFIBlocks(BlockingAlgorithm):
         # Support finding and block scoring used to share one span;
         # they are separated so ``mfiblocks.score`` measures exactly
         # the pair-table fill plus the block means read from it (the
-        # perf ledger's batch-throughput metric is
+        # batch-throughput lane of benchmarks/bench_parallel.py is
         # mfiblocks.pairs_scored / this span's seconds).
         with tracer.span("mfiblocks.support", minsup=minsup):
             index = self._index_for(uncovered, item_bags)

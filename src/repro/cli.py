@@ -281,49 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="list what would be removed without "
                                     "deleting anything")
 
-    perf = commands.add_parser(
-        "perf",
-        help="perf-regression ledger: record benchmark baselines and "
-             "diff fresh results against them (docs/OBSERVABILITY.md)",
-    )
-    perf_commands = perf.add_subparsers(dest="perf_command", required=True)
-
-    record = perf_commands.add_parser(
-        "record", help="add/refresh run-report baselines in the ledger"
-    )
-    record.add_argument("reports", nargs="+", type=Path,
-                        help="run-report JSON files "
-                             "(e.g. benchmarks/results/*.report.json)")
-    record.add_argument("--ledger", type=Path,
-                        default=Path("benchmarks/baselines"),
-                        help="ledger directory "
-                             "(default: benchmarks/baselines)")
-    record.add_argument("--note", default="",
-                        help="operator note stored with the entries")
-
-    diff = perf_commands.add_parser(
-        "diff",
-        help="compare a results directory against the committed "
-             "baseline ledger; human table + JSON verdict",
-    )
-    diff.add_argument("--baseline", type=Path,
-                      default=Path("benchmarks/baselines"),
-                      help="baseline ledger directory "
-                           "(default: benchmarks/baselines)")
-    diff.add_argument("--current", type=Path,
-                      default=Path("benchmarks/results"),
-                      help="directory holding fresh <name>.report.json "
-                           "files (default: benchmarks/results)")
-    diff.add_argument("--threshold", type=float, default=None,
-                      help="regression ratio threshold (default: 0.25 "
-                           "= 25%% slower flags)")
-    diff.add_argument("--strict", action="store_true",
-                      help="exit 1 on a regression verdict (default "
-                           "warn-only, mirroring --assert-speedup)")
-    diff.add_argument("--json", type=Path, default=None, dest="json_out",
-                      help="also write the machine-readable verdict "
-                           "here (the CI artifact)")
-
     return parser
 
 
@@ -832,52 +789,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """The perf-regression ledger (``repro perf record`` / ``diff``)."""
-    import json as json_module
-
-    from repro.obs.perf import DEFAULT_THRESHOLD, PerfLedger, run_diff
-
-    if args.perf_command == "record":
-        missing = [path for path in args.reports if not path.exists()]
-        if missing:
-            names = ", ".join(str(path) for path in missing)
-            print(f"repro perf record: no such report: {names}",
-                  file=sys.stderr)
-            return 2
-        entries = PerfLedger(args.ledger).record(
-            list(args.reports), note=args.note
-        )
-        for entry in entries:
-            print(f"recorded baseline {entry.name} "
-                  f"({entry.file}, repro {entry.repro_version})")
-        print(f"ledger: {args.ledger / 'ledger.json'}")
-        return 0
-
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    result, error = run_diff(args.baseline, args.current, threshold)
-    if result is None:
-        print(f"repro perf diff: {error}", file=sys.stderr)
-        return 2
-    print(result.format_table())
-    if args.json_out is not None:
-        args.json_out.write_text(
-            json_module.dumps(result.to_dict(), indent=1) + "\n"
-        )
-        print(f"wrote verdict to {args.json_out}")
-    if result.verdict == "regression":
-        if args.strict:
-            return 1
-        print(
-            "WARNING: perf regression vs baseline (warn-only; pass "
-            "--strict to fail)",
-            file=sys.stderr,
-        )
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "analyze": _cmd_analyze,
@@ -888,7 +799,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "ingest": _cmd_ingest,
     "checkpoint": _cmd_checkpoint,
-    "perf": _cmd_perf,
 }
 
 

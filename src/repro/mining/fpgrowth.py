@@ -97,7 +97,6 @@ class _Vocabulary(Generic[T]):
         self.id_of: Dict[T, int] = {
             value: index for index, value in enumerate(self.value_of)
         }
-        self.order: Dict[int, int] = {index: index for index in range(len(frequent))}
 
     def encode(self, transaction: Collection[T]) -> List[int]:
         return sorted(
@@ -141,7 +140,7 @@ def frequent_itemsets(
     _validate(materialized, minsup)
     tree, vocabulary = _build_tree(materialized, minsup)
     results: List[Itemset[T]] = []
-    for ids, support in _fp_growth(tree, [], minsup, vocabulary.order):
+    for ids, support in _fp_growth(tree, [], minsup):
         results.append(Itemset(vocabulary.decode(ids), support))
     return results
 
@@ -150,7 +149,6 @@ def _fp_growth(
     tree: FPTree,
     suffix: List[int],
     minsup: int,
-    order: Dict[int, int],
 ) -> Iterator[Tuple[List[int], int]]:
     # Process items least-frequent first (highest id first).
     for item in sorted(tree.items(), reverse=True):
@@ -159,11 +157,9 @@ def _fp_growth(
             continue
         itemset = suffix + [item]
         yield itemset, support
-        conditional = FPTree.from_conditional(
-            tree.prefix_paths(item), minsup, order
-        )
+        conditional = FPTree.from_conditional(tree.prefix_paths(item), minsup)
         if not conditional.is_empty():
-            yield from _fp_growth(conditional, itemset, minsup, order)
+            yield from _fp_growth(conditional, itemset, minsup)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def maximal_frequent_itemsets(
     tracer.gauge("fpgrowth.vocabulary", len(vocabulary.value_of))
     store = _MFIStore()
     with tracer.span("fpgrowth.fpmax", minsup=minsup):
-        _fpmax(tree, [], minsup, vocabulary.order, store, budget)
+        _fpmax(tree, [], minsup, store, budget)
     if budget is not None and budget.degraded:
         tracer.count("fpgrowth.budget_exhausted", 1)
     tracer.count("fpgrowth.trees_built", store.trees_built)
@@ -281,7 +277,6 @@ def _fpmax(
     tree: FPTree,
     suffix: List[int],
     minsup: int,
-    order: Dict[int, int],
     store: _MFIStore,
     budget: Optional[BudgetMeter] = None,
     only: Optional[AbstractSet[int]] = None,
@@ -332,9 +327,9 @@ def _fpmax(
         if store.is_subsumed(keep.union(new_suffix)):
             store.heads_pruned += 1
             continue
-        conditional = FPTree.from_conditional(paths, minsup, order, keep)
+        conditional = FPTree.from_conditional(paths, minsup, keep)
         store.trees_built += 1
-        _fpmax(conditional, new_suffix, minsup, order, store, budget)
+        _fpmax(conditional, new_suffix, minsup, store, budget)
         if budget is not None and budget.degraded:
             return
 
@@ -359,7 +354,7 @@ def _fpmax(
 @picklable_work
 @fork_safe
 def _mine_shard(
-    payload: Tuple[List[List[int]], int, int, List[int]]
+    payload: Tuple[List[List[int]], int, List[int]]
 ) -> List[Tuple[FrozenSet[int], int]]:
     """FPMax over the top-level items of one shard (pool-worker body).
 
@@ -369,13 +364,12 @@ def _mine_shard(
     Module-level and argument-determined, so a chunk computes the same
     result in a worker, in-process, or in a crash retry.
     """
-    encoded, minsup, n_items, shard = payload
+    encoded, minsup, shard = payload
     tree = FPTree()
     for transaction in encoded:
         tree.insert(transaction)
-    order = {item: item for item in range(n_items)}
     store = _MFIStore()
-    _fpmax(tree, [], minsup, order, store, only=frozenset(shard))
+    _fpmax(tree, [], minsup, store, only=frozenset(shard))
     return store.itemsets
 
 
@@ -429,7 +423,7 @@ def _maximal_parallel(
         [item for item in range(n_items) if item % n_shards == index]
         for index in range(n_shards)
     ]
-    payloads = [(encoded, minsup, n_items, shard) for shard in shards]
+    payloads = [(encoded, minsup, shard) for shard in shards]
     with tracer.span("fpgrowth.fpmax", minsup=minsup, shards=n_shards):
         shard_results = executor.map_chunks(
             _mine_shard, payloads, tracer=tracer, label="fpgrowth.shards"

@@ -147,14 +147,13 @@ class FPTree:
         cls,
         paths: Sequence[Tuple[List[int], int]],
         minsup: int,
-        order: Dict[int, int],
         keep: Optional[AbstractSet[int]] = None,
     ) -> "FPTree":
         """Build a conditional FP-tree from a pattern base.
 
         Items failing ``minsup`` within the base are dropped; surviving
-        items keep the *global* frequency order (``order`` maps item →
-        rank, lower rank = more frequent) so the tree stays canonical.
+        items keep the *global* frequency order (item ids are ranks,
+        lower id = more frequent) so the tree stays canonical.
         ``keep`` passes in :meth:`frequent_in_base` of ``paths`` when
         the caller has already counted it.
         """
@@ -163,7 +162,7 @@ class FPTree:
         tree = cls()
         for path, count in paths:
             filtered = [item for item in path if item in keep]
-            filtered.sort(key=lambda item: order[item])
+            filtered.sort()
             if filtered:
                 tree.insert(filtered, count)
         return tree

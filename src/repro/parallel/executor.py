@@ -423,9 +423,11 @@ class MultiprocessExecutor(Executor):
                 completed_at[0] = now()
                 collect_seconds = completed_at[0] - submitted_at[0]
             else:
+                # Pool start-up counts as submit time: timed anywhere
+                # else it would be in the wall but in no bucket.
+                t0 = now()
                 pool = self._ensure_pool()
                 try:
-                    t0 = now()
                     futures: List["Future[Any]"] = []
                     try:
                         for index, task in enumerate(tasks):

@@ -82,20 +82,18 @@ class TestSinglePath:
 class TestConditional:
     def test_filters_below_minsup(self):
         paths = [([0, 1], 2), ([0], 1)]
-        order = {0: 0, 1: 1}
-        tree = FPTree.from_conditional(paths, minsup=3, order=order)
+        tree = FPTree.from_conditional(paths, minsup=3)
         # item 0 has support 3, item 1 only 2
         assert tree.support_of(0) == 3
         assert tree.support_of(1) == 0
 
     def test_keeps_global_order(self):
         paths = [([2, 0], 2)]
-        order = {0: 0, 2: 2}
-        tree = FPTree.from_conditional(paths, minsup=1, order=order)
+        tree = FPTree.from_conditional(paths, minsup=1)
         # Item 0 (more frequent globally) must be nearer the root.
         assert list(tree.root.children) == [0]
         assert list(tree.root.children[0].children) == [2]
 
     def test_empty_base(self):
-        tree = FPTree.from_conditional([], minsup=1, order={})
+        tree = FPTree.from_conditional([], minsup=1)
         assert tree.is_empty()

@@ -285,7 +285,7 @@ class TestShardedMiningInvariants:
         n_shards = max(1, min(n_shards_max, n_items))
         shard_results = [
             _mine_shard((
-                encoded, minsup, n_items,
+                encoded, minsup,
                 [i for i in range(n_items) if i % n_shards == index],
             ))
             for index in range(n_shards)

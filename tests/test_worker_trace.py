@@ -329,6 +329,27 @@ class TestTracedDispatch:
             assert not profile.inline
             assert not profile.retried
 
+    def test_pool_start_up_lands_in_the_submit_bucket(self, monkeypatch):
+        clock = ManualClock()
+        executor = MultiprocessExecutor(2)
+        ensure_pool = executor._ensure_pool
+
+        def slow_ensure_pool():
+            clock.advance(1.0)
+            return ensure_pool()
+
+        monkeypatch.setattr(executor, "_ensure_pool", slow_ensure_pool)
+        payloads = [list(range(i, i + 4)) for i in range(0, 16, 4)]
+        try:
+            executor.map_chunks(
+                _square_chunk, payloads, tracer=Tracer(clock=clock)
+            )
+        finally:
+            executor.close()
+        [dispatch] = executor.profile.dispatches
+        assert dispatch.submit_seconds >= 1.0
+        assert dispatch.accounted_fraction() >= 0.9
+
     def test_single_chunk_runs_inline_in_parent(self):
         executor = MultiprocessExecutor(2)
         results = executor.map_chunks(

@@ -2,7 +2,7 @@
 
 The RL300 performance pass (``tools/reprolint/perf_lint.py``) ranks its
 findings by *measured* time, not by guesswork: a committed RunReport
-(``benchmarks/baselines/*.report.json``, schema v1 from
+(``benchmarks/baselines/parallel_w1.report.json``, schema v1 from
 ``repro.obs.report``) says where a real run spent its wall clock, and
 this module maps that evidence onto the static call graph.
 
@@ -67,8 +67,8 @@ class ProfileError(ValueError):
 #: work function travels as data, not as a call.
 DECLARED_SPAN_SITES: Dict[str, Tuple[str, ...]] = {
     "mfiblocks.score": (
-        "repro.blocking.scoring:BlockScorer.score_block",
-        "repro.blocking.scoring:BlockScorer.pair_similarity",
+        "repro.blocking.scoring:BlockScorer.pair_similarity_batch",
+        "repro.blocking.scoring:BlockScorer.score_blocks_batch",
         "repro.parallel.work:score_pair_chunk",
     ),
     "mfiblocks.mine": (
