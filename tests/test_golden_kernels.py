@@ -5,7 +5,9 @@ produced when the fixtures were last regenerated (see
 ``tools/golden_kernels.py``): a 200-pair corpus with its expected
 48-column feature matrix and its ranked pair-similarity scores under
 all three scoring methods, plus Eq.-1 soft Jaccard on expert weights
-without and with a gazetteer (the ExpertSim configuration). Any drift — batch kernel, scalar reference,
+without and with a gazetteer (the ExpertSim configuration), and the
+ADTree the default learner trains on that matrix with its per-pair
+confidences. Any drift — batch kernel, scalar reference,
 or generator — fails here with a per-feature diff, so an accidental
 ULP-level change cannot hide inside an end-to-end aggregate.
 
@@ -18,8 +20,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.classify.adtree import ADTreeModel
 from repro.similarity.features import FEATURE_NAMES, extract_features
 from tools.golden_kernels import (
+    ADTREE_JSON,
+    CONFIDENCES_CSV,
     FEATURES_CSV,
     N_PAIRS,
     RANKED_COLUMNS,
@@ -28,9 +33,12 @@ from tools.golden_kernels import (
     compute_ranked_rows,
     golden_dataset,
     golden_pairs,
+    load_adtree_json,
+    load_confidences_csv,
     load_features_csv,
     load_ranked_csv,
     ranked_scorers,
+    train_golden_tree,
 )
 
 
@@ -158,3 +166,37 @@ class TestGoldenRankedPairs:
         keys = [(-row[4], row[1], row[2]) for row in rows]
         assert keys == sorted(keys)
         assert [row[0] for row in rows] == list(range(1, len(rows) + 1))
+
+
+class TestGoldenADTree:
+    def test_fixtures_are_committed(self):
+        assert ADTREE_JSON.is_file(), "run tools/golden_kernels.py --write"
+        assert CONFIDENCES_CSV.is_file(), "run tools/golden_kernels.py --write"
+
+    def test_fit_matches_committed_tree(self, dataset, pairs):
+        # to_dict floats compare by value, which for finite floats is
+        # bit equality; the committed JSON holds their exact reprs.
+        model = train_golden_tree(dataset, pairs)
+        assert model.to_dict() == load_adtree_json()
+
+    def test_tree_uses_both_condition_kinds(self):
+        kinds = {
+            splitter.condition.to_dict()["kind"]
+            for splitter in ADTreeModel.from_dict(
+                load_adtree_json()
+            ).iter_splitters()
+        }
+        assert kinds == {"numeric", "categorical"}
+
+    def test_score_matches_committed_confidences(self):
+        model = ADTreeModel.from_dict(load_adtree_json())
+        _names, fixture_pairs, rows = load_features_csv()
+        conf_pairs, expected = load_confidences_csv()
+        assert conf_pairs == fixture_pairs
+        actual = [model.score(row) for row in rows]
+        diffs = [
+            f"pair {pair}: expected {e!r}, got {a!r}"
+            for pair, e, a in zip(fixture_pairs, expected, actual)
+            if repr(e) != repr(a)
+        ]
+        assert not diffs, "golden confidence drift:\n" + "\n".join(diffs[:20])

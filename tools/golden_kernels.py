@@ -20,7 +20,13 @@ Fixtures live in ``tests/fixtures/golden_kernels/``:
   :class:`~repro.blocking.scoring.ScoringMethod` kernels, plus Eq.-1
   soft Jaccard under :data:`~repro.blocking.scoring.DEFAULT_EXPERT_WEIGHTS`
   (the ExpertSim-on-Expert-Weighting condition) without and with a
-  gazetteer lookup.
+  gazetteer lookup;
+* ``adtree.json`` — the ADTree (``ADTreeModel.to_dict``, floats as
+  exact JSON reprs) the default :class:`~repro.classify.boosting.
+  ADTreeLearner` trains on the same pairs' feature matrix, labelled by
+  :class:`~repro.evaluation.goldstandard.GoldStandard`;
+* ``adtree_confidences.csv`` — ``a,b,confidence`` per pair in pair
+  order: that tree's score of each pair, ``repr`` floats.
 
 Regenerate after an *intentional* change of kernel semantics with::
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,6 +47,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = REPO_ROOT / "tests" / "fixtures" / "golden_kernels"
 FEATURES_CSV = FIXTURE_DIR / "features.csv"
 RANKED_CSV = FIXTURE_DIR / "ranked_pairs.csv"
+ADTREE_JSON = FIXTURE_DIR / "adtree.json"
+CONFIDENCES_CSV = FIXTURE_DIR / "adtree_confidences.csv"
 
 #: Corpus shape: large enough for every item type and name-noise mode
 #: to appear, small enough to keep the fixtures reviewable.
@@ -157,6 +166,53 @@ def compute_ranked_rows(
     ]
 
 
+def golden_labels(dataset, pairs: Sequence[Pair]) -> List[bool]:
+    """Gold-standard match label per pair, in pair order."""
+    from repro.evaluation.goldstandard import GoldStandard
+
+    gold = GoldStandard.from_dataset(dataset)
+    return [gold.is_match(pair) for pair in pairs]
+
+
+def train_golden_tree(dataset, pairs: Sequence[Pair]):
+    """The default learner's tree over the pairs' features and labels."""
+    from repro.classify.boosting import ADTreeLearner
+
+    return ADTreeLearner().fit(
+        compute_feature_rows(dataset, pairs), golden_labels(dataset, pairs)
+    )
+
+
+def compute_confidences(model, dataset, pairs: Sequence[Pair]) -> List[float]:
+    """``model.score`` of every pair's feature vector, in pair order."""
+    return [model.score(row) for row in compute_feature_rows(dataset, pairs)]
+
+
+def render_confidences(
+    pairs: Sequence[Pair], confidences: Sequence[float]
+) -> str:
+    lines = ["a,b,confidence"]
+    for (a, b), confidence in zip(pairs, confidences):
+        lines.append(f"{a},{b},{format_cell(confidence)}")
+    return "\n".join(lines) + "\n"
+
+
+def load_confidences_csv(
+    path: Path = CONFIDENCES_CSV,
+) -> Tuple[List[Pair], List[float]]:
+    """(pairs, confidences) from the committed fixture."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        if next(reader) != ["a", "b", "confidence"]:
+            raise ValueError(f"{path}: unexpected header")
+        rows = [(int(a), int(b), float(cell)) for a, b, cell in reader]
+    return [(a, b) for a, b, _ in rows], [cell for _, _, cell in rows]
+
+
+def load_adtree_json(path: Path = ADTREE_JSON) -> Dict[str, object]:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def format_cell(value) -> str:
     """Exact-round-trip serialization (empty cell for missing).
 
@@ -239,8 +295,8 @@ def load_ranked_csv(path: Path = RANKED_CSV) -> List[RankedRow]:
         ]
 
 
-def regenerate(root: Path = FIXTURE_DIR) -> Tuple[Path, Path]:
-    """Write both fixture files; returns their paths."""
+def regenerate(root: Path = FIXTURE_DIR) -> Tuple[Path, ...]:
+    """Write every fixture file; returns their paths."""
     from repro.similarity.features import FEATURE_NAMES
 
     dataset = golden_dataset()
@@ -254,7 +310,17 @@ def regenerate(root: Path = FIXTURE_DIR) -> Tuple[Path, Path]:
         render_features(pairs, rows, FEATURE_NAMES), encoding="utf-8"
     )
     ranked_path.write_text(render_ranked(ranked), encoding="utf-8")
-    return features_path, ranked_path
+    model = train_golden_tree(dataset, pairs)
+    adtree_path = root / ADTREE_JSON.name
+    confidences_path = root / CONFIDENCES_CSV.name
+    adtree_path.write_text(
+        json.dumps(model.to_dict(), indent=1) + "\n", encoding="utf-8"
+    )
+    confidences_path.write_text(
+        render_confidences(pairs, compute_confidences(model, dataset, pairs)),
+        encoding="utf-8",
+    )
+    return features_path, ranked_path, adtree_path, confidences_path
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
