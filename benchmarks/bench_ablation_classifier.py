@@ -41,9 +41,9 @@ def test_ablation_adtree_vs_cart(italy, italy_tagged, benchmark):
     dataset, _persons = italy
     labeled = simplify_tags(italy_tagged, maybe_as=None)
     train, test = train_test_split(sorted(labeled.items()), 0.3, seed=3)
-    train_x = pair_features(dataset, [p for p, _ in train])
+    train_x = pair_features(dataset, [p for p, _ in train]).vectors()
     train_y = [label for _, label in train]
-    test_x = pair_features(dataset, [p for p, _ in test])
+    test_x = pair_features(dataset, [p for p, _ in test]).vectors()
     test_y = [label for _, label in test]
 
     adtree = benchmark.pedantic(

@@ -28,7 +28,7 @@ def _accuracy_binary(dataset, labeled, learner):
     )
     result = evaluate_model(
         model,
-        pair_features(dataset, [p for p, _ in test]),
+        pair_features(dataset, [p for p, _ in test]).vectors(),
         [label for _, label in test],
     )
     return result.accuracy, len(labeled)
@@ -62,7 +62,7 @@ def test_tab05_maybe_treatments(italy, italy_tagged, benchmark):
         [label for _, label in train],
     )
     accuracy_three = ovr.accuracy(
-        pair_features(dataset, [p for p, _ in test]),
+        pair_features(dataset, [p for p, _ in test]).vectors(),
         [label for _, label in test],
     )
 

@@ -26,7 +26,7 @@ def _accuracy(dataset, labeled, seed=19):
     )
     result = evaluate_model(
         model,
-        pair_features(dataset, [p for p, _ in test]),
+        pair_features(dataset, [p for p, _ in test]).vectors(),
         [label for _, label in test],
     )
     return result.accuracy, model

@@ -10,6 +10,12 @@ The raw score doubles as a confidence: the paper "disregards the sign
 operation and uses the resulting score ... as the basis of a ranked
 decision instead of a deterministic classification".
 
+:meth:`ADTreeModel.score_matrix` scores every row of a
+:class:`~repro.similarity.features.FeatureMatrix` at once, with the
+same additions in the same order as the per-dict :meth:`ADTreeModel.
+score`, so each row's float is bit-identical to the dict score; the
+dict form stays as its oracle and API edge.
+
 This module is the *model*; learning lives in
 :mod:`repro.classify.boosting`.
 """
@@ -20,10 +26,18 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, TypeVar, Union
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.contracts import pure
-from repro.similarity.features import FeatureVector
+from repro.similarity.features import (
+    CategoricalColumn,
+    FeatureMatrix,
+    FeatureVector,
+    NumericColumn,
+)
 
 __all__ = [
     "Condition",
@@ -35,11 +49,38 @@ __all__ = [
 ]
 
 
+#: Per-row (outcome, present) masks of a condition over a matrix.
+RowOutcomes = Tuple[NDArray[np.bool_], NDArray[np.bool_]]
+
+
+_C = TypeVar("_C", NumericColumn, CategoricalColumn)
+
+
+def _column_of(
+    matrix: FeatureMatrix, feature: str, kind: Type[_C]
+) -> Optional[_C]:
+    """The feature's column if it has any present value, else None.
+
+    A column of the other kind with present values is a ``TypeError``:
+    conditions test the column kind the learner built them from.
+    """
+    column = matrix.column(feature)
+    if column is None or not column.present.any():
+        return None
+    if not isinstance(column, kind):
+        raise TypeError(
+            f"{kind.__name__} expected for feature {feature!r}, "
+            f"got {type(column).__name__}"
+        )
+    return column
+
+
 class Condition(abc.ABC):
     """A splitter test over one feature.
 
     ``evaluate`` returns ``True``/``False`` for present values and
     ``None`` when the feature is missing (the splitter is then skipped).
+    ``evaluate_matrix`` is the same test over every row of a matrix.
     """
 
     feature: str
@@ -47,6 +88,11 @@ class Condition(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, features: FeatureVector) -> Optional[bool]:
         """Outcome of the test, or None if the feature is missing."""
+
+    @abc.abstractmethod
+    def evaluate_matrix(self, matrix: FeatureMatrix) -> Optional[RowOutcomes]:
+        """``(outcome, present)`` per row; None if the matrix lacks the
+        feature. ``outcome`` is meaningful only where ``present``."""
 
     @abc.abstractmethod
     def describe(self, branch: bool) -> str:
@@ -79,6 +125,12 @@ class NumericCondition(Condition):
             return None
         return float(value) < self.threshold
 
+    def evaluate_matrix(self, matrix: FeatureMatrix) -> Optional[RowOutcomes]:
+        column = _column_of(matrix, self.feature, NumericColumn)
+        if column is None:
+            return None
+        return column.values < self.threshold, column.present
+
     def describe(self, branch: bool) -> str:
         op = "<" if branch else ">="
         return f"{self.feature} {op} {self.threshold:.3f}"
@@ -90,7 +142,12 @@ class NumericCondition(Condition):
 
 @dataclass(frozen=True)
 class CategoricalCondition(Condition):
-    """``feature = value`` (yes branch) vs ``feature != value``."""
+    """``feature = value`` (yes branch) vs ``feature != value``.
+
+    ``value`` is the ``str`` of a feature value, as the learner records
+    it, so the test compares ``str(observed)``: a ``bool`` feature
+    ``True`` satisfies ``value == "True"``.
+    """
 
     feature: str
     value: str
@@ -99,7 +156,13 @@ class CategoricalCondition(Condition):
         observed = features.get(self.feature)
         if observed is None:
             return None
-        return observed == self.value
+        return str(observed) == self.value
+
+    def evaluate_matrix(self, matrix: FeatureMatrix) -> Optional[RowOutcomes]:
+        column = _column_of(matrix, self.feature, CategoricalColumn)
+        if column is None:
+            return None
+        return column.codes == column.code(self.value), column.present
 
     def describe(self, branch: bool) -> str:
         op = "=" if branch else "!="
@@ -155,6 +218,36 @@ class ADTreeModel:
                 continue
             child = splitter.yes if outcome else splitter.no
             total += self._score_node(child, features)
+        return total
+
+    @pure
+    def score_matrix(self, matrix: FeatureMatrix) -> NDArray[np.float64]:
+        """:meth:`score` of every row of ``matrix``, bit for bit.
+
+        Each node adds its reachable children's subtotals in splitter
+        order, exactly as :meth:`score` does per dict; rows where a
+        splitter's feature is missing keep their running total
+        untouched. Overflow gives inf and nan silently, as float
+        arithmetic does in :meth:`score`.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._score_node_matrix(self.root, matrix)
+
+    def _score_node_matrix(
+        self, node: PredictionNode, matrix: FeatureMatrix
+    ) -> NDArray[np.float64]:
+        total = np.full(len(matrix), node.value, dtype=np.float64)
+        for splitter in node.splitters:
+            evaluated = splitter.condition.evaluate_matrix(matrix)
+            if evaluated is None:
+                continue
+            outcome, present = evaluated
+            child = np.where(
+                outcome,
+                self._score_node_matrix(splitter.yes, matrix),
+                self._score_node_matrix(splitter.no, matrix),
+            )
+            total = np.where(present, total + child, total)
         return total
 
     def classify(self, features: FeatureVector, threshold: float = 0.0) -> bool:

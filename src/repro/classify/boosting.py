@@ -16,15 +16,26 @@ paper's Tables 7-8. Instances with the test feature missing stay outside
 both branches (they keep skipping the splitter at prediction time too),
 which is how the algorithm tolerates the dataset's sparse patterns.
 
-The search is vectorized with numpy: condition satisfaction/presence is
-precomputed as float matrices and each round reduces to a handful of
-matrix-vector products, keeping 10 rounds over ~10k pairs sub-second.
+The learner reads a :class:`~repro.similarity.features.FeatureMatrix`
+— the batch extractor's output — directly: numeric columns give the
+thresholds and their ``value < threshold`` masks, categorical columns
+give one ``code == k`` mask per observed level. A sequence of dict
+vectors is converted once with ``FeatureMatrix.from_vectors``, so both
+inputs fit the same tree.
+
+The search is vectorized with numpy. Condition satisfaction, presence
+and their difference (present but not satisfied) are built once per fit
+as float64 matrices, one row per base condition, and each round reduces
+to five matrix-vector products per precondition, keeping 10 rounds over
+~10k pairs around a second. The products stay one GEMV per matrix and
+precondition: stacking a round's preconditions into one GEMM was tried
+and changes the sums in the last bits, which would move the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,7 +50,11 @@ from repro.classify.adtree import (
 )
 from repro.contracts import deterministic
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.similarity.features import FeatureVector
+from repro.similarity.features import (
+    CategoricalColumn,
+    FeatureMatrix,
+    FeatureVector,
+)
 
 __all__ = ["ADTreeLearner"]
 
@@ -51,6 +66,7 @@ class _CandidateSet:
     conditions: List[Condition]
     satisfied: NDArray[np.float64]  # (n_cond, n): test passes
     present: NDArray[np.float64]  # (n_cond, n): feature present
+    not_satisfied: NDArray[np.float64]  # present - satisfied
 
 
 class ADTreeLearner:
@@ -79,22 +95,27 @@ class ADTreeLearner:
     @deterministic
     def fit(
         self,
-        features: Sequence[FeatureVector],
+        features: Union[FeatureMatrix, Sequence[FeatureVector]],
         labels: Sequence[bool],
     ) -> ADTreeModel:
-        """Learn a tree from feature vectors and binary match labels."""
+        """Learn a tree from a feature matrix (or dict vectors) and labels."""
         if len(features) != len(labels):
             raise ValueError(
                 f"features ({len(features)}) and labels ({len(labels)}) disagree"
             )
-        if not features:
+        if not len(features):
             raise ValueError("cannot fit on an empty training set")
+        matrix = (
+            features
+            if isinstance(features, FeatureMatrix)
+            else FeatureMatrix.from_vectors(features)
+        )
 
         tracer = self.tracer
-        n = len(features)
+        n = len(matrix)
         y = np.where(np.asarray(labels, dtype=bool), 1.0, -1.0)
         with tracer.span("adtree.candidates"):
-            candidates = self._build_candidates(features)
+            candidates = self._build_candidates(matrix)
         tracer.count("adtree.conditions", len(candidates.conditions))
 
         # Root prediction: smoothed prior log-odds.
@@ -161,7 +182,7 @@ class ADTreeLearner:
         w_pos = weights * (y > 0)
         w_neg = weights * (y < 0)
         total = float(weights.sum())
-        not_satisfied = candidates.present - candidates.satisfied
+        not_satisfied = candidates.not_satisfied
 
         best: Optional[Tuple[float, int, int, float, float]] = None
         for pre_index, (mask, _node) in enumerate(preconditions):
@@ -194,49 +215,38 @@ class ADTreeLearner:
         _, pre_index, cond_index, value_yes, value_no = best
         return pre_index, cond_index, value_yes, value_no
 
-    def _build_candidates(
-        self, features: Sequence[FeatureVector]
-    ) -> _CandidateSet:
-        """Enumerate base conditions and evaluate them over the data."""
-        names = self._feature_names(features)
-        n = len(features)
+    def _build_candidates(self, matrix: FeatureMatrix) -> _CandidateSet:
+        """Enumerate base conditions and evaluate them over the matrix."""
         conditions: List[Condition] = []
-        satisfied_rows: List[NDArray[np.float64]] = []
-        present_rows: List[NDArray[np.float64]] = []
+        satisfied_rows: List[NDArray[np.bool_]] = []
+        present_rows: List[NDArray[np.bool_]] = []
 
-        for name in names:
-            raw = [vector.get(name) for vector in features]
-            present = np.array([value is not None for value in raw], dtype=bool)
+        for name, column in matrix.items():
+            present = column.present
             if not present.any():
                 continue
-            sample = next(value for value in raw if value is not None)
-            if isinstance(sample, (int, float)) and not isinstance(sample, bool):
-                values = np.array(
-                    [float(v) if v is not None else np.nan for v in raw]
-                )
+            if isinstance(column, CategoricalColumn):
+                for code, label in enumerate(column.labels):
+                    conditions.append(CategoricalCondition(name, label))
+                    satisfied_rows.append(column.codes == code)
+                    present_rows.append(present)
+            else:
+                values = column.values
                 for threshold in self._thresholds(values[present]):
                     with np.errstate(invalid="ignore"):
                         passes = (values < threshold) & present
                     conditions.append(NumericCondition(name, float(threshold)))
                     satisfied_rows.append(passes)
                     present_rows.append(present)
-            else:
-                observed = sorted({str(v) for v in raw if v is not None})
-                for value in observed:
-                    passes = np.array(
-                        [v is not None and str(v) == value for v in raw],
-                        dtype=bool,
-                    )
-                    conditions.append(CategoricalCondition(name, value))
-                    satisfied_rows.append(passes)
-                    present_rows.append(present)
 
         if not conditions:
-            empty = np.zeros((0, n), dtype=np.float64)
-            return _CandidateSet([], empty, empty)
+            empty = np.zeros((0, len(matrix)), dtype=np.float64)
+            return _CandidateSet([], empty, empty, empty)
         satisfied = np.array(satisfied_rows, dtype=np.float64)
-        present = np.array(present_rows, dtype=np.float64)
-        return _CandidateSet(conditions, satisfied, present)
+        present_matrix = np.array(present_rows, dtype=np.float64)
+        return _CandidateSet(
+            conditions, satisfied, present_matrix, present_matrix - satisfied
+        )
 
     def _thresholds(self, present_values: NDArray[np.float64]) -> List[float]:
         """Candidate thresholds: midpoints of unique values, quantile-capped."""
@@ -249,14 +259,3 @@ class ADTreeLearner:
         quantiles = np.linspace(0, 1, self.max_numeric_thresholds + 2)[1:-1]
         picked = np.quantile(midpoints, quantiles)
         return [float(m) for m in np.unique(picked)]
-
-    @staticmethod
-    def _feature_names(features: Sequence[FeatureVector]) -> List[str]:
-        names: List[str] = []
-        seen: Dict[str, None] = {}
-        for vector in features:
-            for name in vector:
-                if name not in seen:
-                    seen[name] = None
-                    names.append(name)
-        return names

@@ -2,7 +2,8 @@
 
 Provides the machinery behind the classifier experiments (Section 6.4):
 
-* feature extraction for tagged candidate pairs;
+* feature extraction for tagged candidate pairs (one
+  :class:`~repro.similarity.features.FeatureMatrix` per call);
 * deterministic train/test splits and k-fold cross-validated accuracy
   (the paper reports ~95% accuracy across configurations);
 * :class:`PairClassifier` — the dataset-facing wrapper that scores and
@@ -25,6 +26,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.classify.adtree import ADTreeModel
@@ -38,6 +40,7 @@ from repro.parallel.work import classify_pair_chunk
 from repro.records.dataset import Dataset
 from repro.records.schema import VictimRecord
 from repro.similarity.features import (
+    FeatureMatrix,
     FeatureVector,
     extract_features,  # noqa: F401 - the e2e probes patch it by this name
     extract_features_batch,
@@ -92,8 +95,11 @@ def pair_features(
     dataset: Dataset,
     pairs: Iterable[Pair],
     names: Optional[Tuple[str, ...]] = None,
-) -> List[FeatureVector]:
-    """Extract the 48 (or a subset of) features for each candidate pair."""
+) -> FeatureMatrix:
+    """The 48 (or a subset of) features of each pair, one matrix row each.
+
+    ``.vectors()`` gives the per-pair dicts.
+    """
     return extract_features_batch(dataset, list(pairs), names=names)
 
 
@@ -164,7 +170,12 @@ def cross_validate(
 
 
 class PairClassifier:
-    """Dataset-facing wrapper: train on tagged pairs, score/rank any pair."""
+    """Dataset-facing wrapper: train on tagged pairs, score/rank any pair.
+
+    ``fit`` keeps the training pairs' feature matrix with a pair → row
+    index, so scoring on the classifier's own dataset extracts only the
+    pairs training did not already cover.
+    """
 
     def __init__(
         self,
@@ -180,6 +191,8 @@ class PairClassifier:
         )
         self.feature_names = feature_names
         self.model: Optional[ADTreeModel] = None
+        self._training: Optional[FeatureMatrix] = None
+        self._training_rows: Dict[Pair, int] = {}
 
     @deterministic
     def fit(self, labeled_pairs: Mapping[Pair, bool]) -> "PairClassifier":
@@ -192,6 +205,8 @@ class PairClassifier:
                 )
             labels = [labeled_pairs[pair] for pair in pairs]
             self.model = self.learner.fit(features, labels)
+        self._training = features
+        self._training_rows = {pair: row for row, pair in enumerate(pairs)}
         self.tracer.count("classify.training_pairs", len(pairs))
         return self
 
@@ -207,17 +222,39 @@ class PairClassifier:
     ) -> List[float]:
         """ADTree confidence per pair, in order (positive leans match).
 
-        Features come from one batch extractor call; ``records`` resolves
-        ids that are not in the training dataset (streaming ingestion
-        passes the live store plus its staged batch).
+        On the classifier's own dataset, training pairs read their rows
+        of the fitted matrix and the rest come from one batch extractor
+        call. ``records`` resolves ids that are not in the training
+        dataset (streaming ingestion passes the live store plus its
+        staged batch); every pair is then extracted fresh. A row's score
+        does not depend on the other rows, so both routes give the same
+        floats as extracting every pair.
         """
         model = self._require_model()
-        vectors = extract_features_batch(
-            self.dataset if records is None else records,
-            pairs,
-            names=self.feature_names,
+        if records is not None:
+            return model.score_matrix(
+                extract_features_batch(records, pairs, names=self.feature_names)
+            ).tolist()
+        rows = self._training_rows
+        missing = [pair for pair in pairs if pair not in rows]
+        fresh = dict(
+            zip(
+                missing,
+                model.score_matrix(
+                    extract_features_batch(
+                        self.dataset, missing, names=self.feature_names
+                    )
+                ).tolist(),
+            )
         )
-        return [model.score(vector) for vector in vectors]
+        trained: List[float] = (
+            [] if self._training is None
+            else model.score_matrix(self._training).tolist()
+        )
+        return [
+            trained[rows[pair]] if pair in rows else fresh[pair]
+            for pair in pairs
+        ]
 
     @ordered_output
     def rank(
@@ -296,15 +333,20 @@ class OneVsRestADTree:
 
     def fit(
         self,
-        features: Sequence[FeatureVector],
+        features: Union[FeatureMatrix, Sequence[FeatureVector]],
         labels: Sequence[Hashable],
     ) -> "OneVsRestADTree":
         classes = sorted(set(labels), key=str)
         if len(classes) < 2:
             raise ValueError("need at least two classes")
+        matrix = (
+            features
+            if isinstance(features, FeatureMatrix)
+            else FeatureMatrix.from_vectors(features)
+        )
         for cls in classes:
             binary = [label == cls for label in labels]
-            self.models[cls] = self.learner.fit(features, binary)
+            self.models[cls] = self.learner.fit(matrix, binary)
         return self
 
     def predict(self, vector: FeatureVector) -> Hashable:

@@ -94,9 +94,11 @@ def classify_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
     """ADTree confidences for one chunk of candidate pairs.
 
     Dataset, model and feature-name subset come from the published
-    shared state. Its last two statements repeat
-    ``PairClassifier.confidences`` (``classify.training`` imports this
-    module, not the reverse), so the confidences match the serial rank
+    shared state. The chunk's pairs are extracted into one feature
+    matrix and scored by ``ADTreeModel.score_matrix``, as
+    ``PairClassifier.confidences`` does serially (``classify.training``
+    imports this module, not the reverse); a row's score does not
+    depend on the other rows, so the confidences match the serial rank
     exactly.
     """
     ref, pairs = payload
@@ -104,10 +106,8 @@ def classify_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
     dataset: "Dataset" = state["dataset"]
     model: "ADTreeModel" = state["model"]
     feature_names: Optional[Tuple[str, ...]] = state["feature_names"]
-    vectors = extract_features_batch(dataset, pairs, names=feature_names)
-    return [
-        (pair, model.score(vector)) for pair, vector in zip(pairs, vectors)
-    ]
+    matrix = extract_features_batch(dataset, pairs, names=feature_names)
+    return list(zip(pairs, model.score_matrix(matrix).tolist()))
 
 
 @picklable_work

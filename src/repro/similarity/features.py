@@ -25,6 +25,14 @@ Feature names follow the published trees (Tables 7-8): ``sameFFN``,
 A feature value is a ``float`` (numeric), a ``str`` (categorical), or
 ``None`` (missing — either record lacks the underlying attribute). The
 ADTree's missing-value semantics skip splitters whose feature is None.
+
+Two shapes carry those values. :func:`extract_features` returns one
+dict per pair (:data:`FeatureVector`) and is the scalar oracle; the
+production extractor :func:`extract_features_batch` returns a
+:class:`FeatureMatrix` — one column per feature over all pairs — which
+the ADTree learner and the vectorized scorer read directly.
+:meth:`FeatureMatrix.vectors` and :meth:`FeatureMatrix.from_vectors`
+convert between the two without changing a value.
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -44,21 +53,24 @@ from typing import (
 )
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.contracts import batch_kernel, hot_path
-from repro.records.itembag import record_to_items
+from repro.records.dataset import Dataset
+from repro.records.itembag import Item, record_to_items
 from repro.records.schema import PLACE_PARTS, PlacePart, PlaceType, VictimRecord
 from repro.similarity.dates import day_distance, month_distance, year_distance
 from repro.geo import haversine_km
 from repro.similarity.strings import jaccard_qgrams, jaro_winkler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.records.dataset import Dataset
-
 __all__ = [
     "FeatureKind",
     "FeatureSpec",
     "FeatureVector",
+    "NumericColumn",
+    "CategoricalColumn",
+    "FeatureColumn",
+    "FeatureMatrix",
     "FEATURES",
     "FEATURE_NAMES",
     "extract_features",
@@ -121,6 +133,164 @@ def soundex(name: str) -> str:
         if ch not in "hw":
             previous = code
     return ("".join(result) + "000")[:4]
+
+
+# -- the columnar feature matrix -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class NumericColumn:
+    """A numeric feature over n pairs: float64 values plus a present mask.
+
+    Missing entries hold NaN in ``values`` and ``False`` in ``present``;
+    present entries are the extractor's floats, bit for bit.
+    """
+
+    values: NDArray[np.float64]
+    present: NDArray[np.bool_]
+
+    @classmethod
+    def from_values(cls, raw: Sequence[FeatureValue]) -> "NumericColumn":
+        """Column of ``float(v)`` per value, ``None`` marking missing."""
+        return cls(
+            np.array(
+                [np.nan if v is None else float(v) for v in raw],  # type: ignore[arg-type]
+                dtype=np.float64,
+            ),
+            np.array([v is not None for v in raw], dtype=bool),
+        )
+
+    def to_list(self) -> List[FeatureValue]:
+        return [
+            value if present else None
+            for value, present in zip(self.values.tolist(), self.present.tolist())
+        ]
+
+
+@dataclass(frozen=True)
+class CategoricalColumn:
+    """A categorical feature over n pairs as integer codes.
+
+    ``codes[i]`` indexes ``levels`` (``-1`` when missing). Codes are over
+    ``str(value)``: ``levels`` holds one raw value per distinct string,
+    sorted by that string, so ``labels[k] == str(levels[k])`` and a
+    condition ``feature = s`` is ``codes == labels.index(s)``.
+    """
+
+    codes: NDArray[np.int64]
+    levels: Tuple[object, ...]
+
+    @classmethod
+    def from_values(cls, raw: Sequence[object]) -> "CategoricalColumn":
+        """Column coding each present value by ``str(value)``."""
+        first: Dict[str, object] = {}
+        keys: List[Optional[str]] = []
+        for value in raw:
+            if value is None:
+                keys.append(None)
+                continue
+            key = str(value)
+            first.setdefault(key, value)
+            keys.append(key)
+        labels = sorted(first)
+        index = {label: code for code, label in enumerate(labels)}
+        codes = np.array(
+            [-1 if key is None else index[key] for key in keys], dtype=np.int64
+        )
+        return cls(codes, tuple(first[label] for label in labels))
+
+    @property
+    def present(self) -> NDArray[np.bool_]:
+        return self.codes >= 0
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        """``str`` of each level, in code order (sorted)."""
+        return tuple(str(level) for level in self.levels)
+
+    def code(self, label: str) -> int:
+        """Code of the level whose ``str`` is ``label``; -1 if unseen."""
+        labels = self.labels
+        return labels.index(label) if label in labels else -1
+
+    def to_list(self) -> List[FeatureValue]:
+        lookup = self.levels + (None,)  # code -1 reads the trailing None
+        return [lookup[code] for code in self.codes.tolist()]  # type: ignore[misc]
+
+
+FeatureColumn = Union[NumericColumn, CategoricalColumn]
+
+
+class FeatureMatrix:
+    """Feature values of n pairs, one column per feature name.
+
+    The one production representation of pairwise features: the batch
+    extractor builds it, :class:`~repro.classify.boosting.ADTreeLearner`
+    fits on it and :meth:`~repro.classify.adtree.ADTreeModel.score_matrix`
+    scores it. Dict vectors exist only at the API edge
+    (:meth:`vectors`, :meth:`from_vectors`).
+    """
+
+    __slots__ = ("names", "columns", "n_rows")
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        columns: Sequence[FeatureColumn],
+        n_rows: int,
+    ) -> None:
+        if len(names) != len(columns):
+            raise ValueError("one column per feature name")
+        self.names: Tuple[str, ...] = tuple(names)
+        self.columns: Dict[str, FeatureColumn] = dict(zip(self.names, columns))
+        self.n_rows = n_rows
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __repr__(self) -> str:
+        return f"FeatureMatrix({self.n_rows} rows x {len(self.names)} features)"
+
+    def items(self) -> Iterator[Tuple[str, FeatureColumn]]:
+        """``(name, column)`` in feature order."""
+        return iter(self.columns.items())
+
+    def column(self, name: str) -> Optional[FeatureColumn]:
+        """The named column, or ``None`` if the matrix lacks it."""
+        return self.columns.get(name)
+
+    def vectors(self) -> List[FeatureVector]:
+        """One dict per row, keys in feature order — the dict API edge."""
+        if not self.names:
+            return [{} for _row in range(self.n_rows)]
+        lists = [column.to_list() for column in self.columns.values()]
+        names = self.names
+        return [dict(zip(names, row)) for row in zip(*lists)]
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[FeatureVector]) -> "FeatureMatrix":
+        """Columns of a dict sequence; ``from_vectors(vs).vectors() == vs``.
+
+        Names are taken in first-seen key order and an absent key reads
+        as missing. A column is numeric when its first present value is
+        an ``int`` or ``float`` (not ``bool``) and categorical otherwise;
+        numeric values come back as ``float``.
+        """
+        seen: Dict[str, None] = {}
+        for vector in vectors:
+            for name in vector:
+                seen.setdefault(name)
+        columns: List[FeatureColumn] = []
+        for name in seen:
+            raw = [vector.get(name) for vector in vectors]
+            sample = next((value for value in raw if value is not None), None)
+            if sample is None or (
+                isinstance(sample, (int, float)) and not isinstance(sample, bool)
+            ):
+                columns.append(NumericColumn.from_values(raw))
+            else:
+                columns.append(CategoricalColumn.from_values(raw))
+        return cls(list(seen), columns, len(vectors))
 
 
 # -- name-attribute helpers ---------------------------------------------------
@@ -455,9 +625,12 @@ def extract_features(
 # so each column is equal per pair to the scalar extractor; the
 # property suite in ``tests/test_batch_kernels.py`` pins this.
 #
-# Memory stays close to the scalar loop's: a column's per-record
-# artifacts live only while that column is built, and the value memos
-# are dropped before the per-pair vectors are assembled.
+# Item bags are the one per-record artifact two columns share: a
+# ``Dataset`` already caches them (mining filled the cache in a
+# pipeline run), and for a plain record mapping they are computed once
+# per call. Every other column's per-record artifacts live only while
+# that column is built, and each column is packed into a
+# :class:`FeatureMatrix` column as soon as it is built.
 
 _MemoKey = Tuple[object, ...]
 
@@ -465,25 +638,39 @@ _MemoKey = Tuple[object, ...]
 class _BatchFeatureExtractor:
     """One batch call's records and value-pair memos."""
 
-    __slots__ = ("pairs", "records", "_value_memo")
+    __slots__ = ("pairs", "records", "_dataset", "_item_bags", "_value_memo")
 
     def __init__(
         self,
-        dataset: "Union[Dataset, Mapping[int, VictimRecord]]",
-        pairs: Sequence[Tuple[str, str]],
+        dataset: Union[Dataset, Mapping[int, VictimRecord]],
+        pairs: Sequence[Tuple[int, int]],
     ):
         self.pairs = pairs
-        self.records: Dict[str, VictimRecord] = {
+        self.records: Dict[int, VictimRecord] = {
             rid: dataset[rid]
             for rid in sorted({rid for pair in pairs for rid in pair})
         }
+        self._dataset = dataset
+        self._item_bags: Optional[Mapping[int, FrozenSet[Item]]] = None
         self._value_memo: Dict[_MemoKey, object] = {}
 
     def per_record(
         self, build: Callable[[VictimRecord], object]
-    ) -> Dict[str, object]:
+    ) -> Dict[int, object]:
         """``build`` applied once to every record of the batch, by id."""
         return {rid: build(record) for rid, record in self.records.items()}
+
+    def item_bags(self) -> Mapping[int, FrozenSet[Item]]:
+        """Item bag per record id, computed at most once per call."""
+        if self._item_bags is None:
+            if isinstance(self._dataset, Dataset):
+                self._item_bags = self._dataset.item_bags
+            else:
+                self._item_bags = {
+                    rid: record_to_items(record)
+                    for rid, record in self.records.items()
+                }
+        return self._item_bags
 
     def best_metric(
         self,
@@ -778,7 +965,7 @@ def _record_pattern(record: VictimRecord) -> object:
 
 
 def _batch_item_jaccard(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
-    bags = ex.per_record(record_to_items)
+    bags = ex.item_bags()
     out: List[FeatureValue] = []
     for a, b in ex.pairs:
         items_a = bags[a]
@@ -790,11 +977,8 @@ def _batch_item_jaccard(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
 
 
 def _batch_n_shared_items(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
-    bags = ex.per_record(record_to_items)
-    return [
-        float(len(bags[a] & bags[b]))  # type: ignore[operator]
-        for a, b in ex.pairs
-    ]
+    bags = ex.item_bags()
+    return [float(len(bags[a] & bags[b])) for a, b in ex.pairs]
 
 
 def _batch_pattern_overlap(ex: _BatchFeatureExtractor) -> List[FeatureValue]:
@@ -847,27 +1031,31 @@ if set(_BATCH_COLUMNS) != set(FEATURE_NAMES):  # pragma: no cover - invariant
 
 @batch_kernel
 def extract_features_batch(
-    dataset: "Union[Dataset, Mapping[int, VictimRecord]]",
-    pairs: Sequence[Tuple[str, str]],
+    dataset: Union[Dataset, Mapping[int, VictimRecord]],
+    pairs: Sequence[Tuple[int, int]],
     names: Optional[Tuple[str, ...]] = None,
-) -> List[FeatureVector]:
-    """Feature vectors for a chunk of pairs; ≡ :func:`extract_features`.
+) -> FeatureMatrix:
+    """Feature matrix of a chunk of pairs; ≡ :func:`extract_features`.
 
-    Returns one :data:`FeatureVector` per pair, in pair order, with the
-    keys in the same (selected-spec) order the scalar extractor uses.
-    Subset selection via ``names`` behaves identically — including the
-    ``ValueError`` on unknown names.
+    Row ``i`` is pair ``i``; columns follow the selected specs' order.
+    ``extract_features_batch(d, ps).vectors()[i]`` equals
+    ``extract_features(d[a], d[b])`` for ``(a, b) = ps[i]`` — same keys,
+    same order, same values. Subset selection via ``names`` behaves
+    identically, including the ``ValueError`` on unknown names.
     """
     selected = FEATURES if names is None else tuple(
         feature_spec(name) for name in names
     )
     pair_list = list(pairs)
-    if not pair_list:
-        return []
     extractor = _BatchFeatureExtractor(dataset, pair_list)
-    columns = [_BATCH_COLUMNS[spec.name](extractor) for spec in selected]
-    del extractor  # drop the value memos before the vectors are built
-    if not columns:
-        return [{} for _pair in pair_list]
-    keys = [spec.name for spec in selected]
-    return [dict(zip(keys, row)) for row in zip(*columns)]
+    columns: List[FeatureColumn] = []
+    for spec in selected:
+        raw = _BATCH_COLUMNS[spec.name](extractor) if pair_list else []
+        columns.append(
+            NumericColumn.from_values(raw)
+            if spec.kind is FeatureKind.NUMERIC
+            else CategoricalColumn.from_values(raw)
+        )
+    return FeatureMatrix(
+        [spec.name for spec in selected], columns, len(pair_list)
+    )

@@ -59,6 +59,12 @@ class TestConditions:
         assert condition.evaluate({"c": "yes"}) is False
         assert condition.evaluate({}) is None
 
+    def test_categorical_evaluate_compares_str(self):
+        condition = CategoricalCondition("flag", "True")
+        assert condition.evaluate({"flag": True}) is True
+        assert condition.evaluate({"flag": False}) is False
+        assert condition.evaluate({"flag": None}) is None
+
     def test_describe(self):
         assert NumericCondition("x", 0.728).describe(True) == "x < 0.728"
         assert NumericCondition("x", 0.728).describe(False) == "x >= 0.728"

@@ -511,7 +511,7 @@ class TestBatchFeatureExtractor:
     def test_matches_scalar_on_real_records(self, data):
         rid = st.sampled_from(self.rids)
         pairs = data.draw(st.lists(st.tuples(rid, rid), max_size=8))
-        batch = extract_features_batch(self.dataset, pairs)
+        batch = extract_features_batch(self.dataset, pairs).vectors()
         for pair, vector in zip(pairs, batch):
             a, b = pair
             scalar = extract_features(self.dataset[a], self.dataset[b])
@@ -538,7 +538,9 @@ class TestBatchFeatureExtractor:
         )
         rid = st.sampled_from(self.rids)
         pairs = data.draw(st.lists(st.tuples(rid, rid), max_size=5))
-        batch = extract_features_batch(self.dataset, pairs, names=names)
+        batch = extract_features_batch(
+            self.dataset, pairs, names=names
+        ).vectors()
         for pair, vector in zip(pairs, batch):
             a, b = pair
             scalar = extract_features(
@@ -553,14 +555,15 @@ class TestBatchFeatureExtractor:
         rid = st.sampled_from(self.rids)
         pairs = data.draw(st.lists(st.tuples(rid, rid), max_size=10))
         cut = data.draw(st.integers(min_value=0, max_value=len(pairs)))
-        whole = extract_features_batch(self.dataset, pairs)
-        pieces = extract_features_batch(
-            self.dataset, pairs[:cut]
-        ) + extract_features_batch(self.dataset, pairs[cut:])
+        whole = extract_features_batch(self.dataset, pairs).vectors()
+        pieces = (
+            extract_features_batch(self.dataset, pairs[:cut]).vectors()
+            + extract_features_batch(self.dataset, pairs[cut:]).vectors()
+        )
         assert len(whole) == len(pieces)
         for left, right in zip(whole, pieces):
             assert list(left) == list(right)
             assert reprs(left.values()) == reprs(right.values())
 
     def test_empty_pair_list(self):
-        assert extract_features_batch(self.dataset, []) == []
+        assert extract_features_batch(self.dataset, []).vectors() == []

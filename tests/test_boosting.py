@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.classify.adtree import ADTreeModel
+from repro.classify.adtree import ADTreeModel, CategoricalCondition
 from repro.classify.boosting import ADTreeLearner
+from repro.classify.training import evaluate_model
 
 
 def learn(features, labels, **kwargs):
@@ -75,6 +76,19 @@ class TestLearnsSimpleConcepts:
         labels = [False] * 9 + [True]
         model = learn(features, labels, n_rounds=1)
         assert model.root.value < 0
+
+
+class TestNonStringCategories:
+    """The learner records ``str(value)``; scoring must compare the same."""
+
+    def test_bool_feature_takes_yes_branch(self):
+        features = [{"flag": i % 2 == 0} for i in range(80)]
+        labels = [vector["flag"] for vector in features]
+        model = learn(features, labels, n_rounds=2)
+        first = next(model.iter_splitters())
+        assert first.condition == CategoricalCondition("flag", "False")
+        result = evaluate_model(model, features, labels)
+        assert (result.tp, result.fp, result.tn, result.fn) == (40, 0, 40, 0)
 
 
 class TestMissingValues:

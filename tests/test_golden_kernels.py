@@ -7,7 +7,8 @@ produced when the fixtures were last regenerated (see
 all three scoring methods, plus Eq.-1 soft Jaccard on expert weights
 without and with a gazetteer (the ExpertSim configuration), and the
 ADTree the default learner trains on that matrix with its per-pair
-confidences. Any drift — batch kernel, scalar reference,
+confidences (``fit`` on dicts and on the extractor's matrix, ``score``
+and ``score_matrix``). Any drift — batch kernel, scalar reference,
 or generator — fails here with a per-feature diff, so an accidental
 ULP-level change cannot hide inside an end-to-end aggregate.
 
@@ -21,7 +22,13 @@ from __future__ import annotations
 import pytest
 
 from repro.classify.adtree import ADTreeModel
-from repro.similarity.features import FEATURE_NAMES, extract_features
+from repro.classify.boosting import ADTreeLearner
+from repro.similarity.features import (
+    FEATURE_NAMES,
+    FeatureMatrix,
+    extract_features,
+    extract_features_batch,
+)
 from tools.golden_kernels import (
     ADTREE_JSON,
     CONFIDENCES_CSV,
@@ -32,6 +39,7 @@ from tools.golden_kernels import (
     compute_feature_rows,
     compute_ranked_rows,
     golden_dataset,
+    golden_labels,
     golden_pairs,
     load_adtree_json,
     load_confidences_csv,
@@ -179,6 +187,14 @@ class TestGoldenADTree:
         model = train_golden_tree(dataset, pairs)
         assert model.to_dict() == load_adtree_json()
 
+    def test_fit_on_extractor_matrix_matches_committed_tree(
+        self, dataset, pairs
+    ):
+        model = ADTreeLearner().fit(
+            extract_features_batch(dataset, pairs), golden_labels(dataset, pairs)
+        )
+        assert model.to_dict() == load_adtree_json()
+
     def test_tree_uses_both_condition_kinds(self):
         kinds = {
             splitter.condition.to_dict()["kind"]
@@ -200,3 +216,21 @@ class TestGoldenADTree:
             if repr(e) != repr(a)
         ]
         assert not diffs, "golden confidence drift:\n" + "\n".join(diffs[:20])
+
+    def test_score_matrix_matches_committed_confidences(self, dataset, pairs):
+        model = ADTreeModel.from_dict(load_adtree_json())
+        _names, fixture_pairs, rows = load_features_csv()
+        _conf_pairs, expected = load_confidences_csv()
+        for matrix in (
+            FeatureMatrix.from_vectors(rows),
+            extract_features_batch(dataset, fixture_pairs),
+        ):
+            actual = model.score_matrix(matrix).tolist()
+            diffs = [
+                f"pair {pair}: expected {e!r}, got {a!r}"
+                for pair, e, a in zip(fixture_pairs, expected, actual)
+                if repr(e) != repr(a)
+            ]
+            assert not diffs, "golden confidence drift:\n" + "\n".join(
+                diffs[:20]
+            )

@@ -103,12 +103,14 @@ def pair_dataset():
 
 class TestPairFeatures:
     def test_one_vector_per_pair(self, pair_dataset):
-        vectors = pair_features(pair_dataset, [(1, 2), (1, 4)])
+        vectors = pair_features(pair_dataset, [(1, 2), (1, 4)]).vectors()
         assert len(vectors) == 2
         assert len(vectors[0]) == 48
 
     def test_subset_names(self, pair_dataset):
-        vectors = pair_features(pair_dataset, [(1, 2)], names=("sameFN",))
+        vectors = pair_features(
+            pair_dataset, [(1, 2)], names=("sameFN",)
+        ).vectors()
         assert set(vectors[0]) == {"sameFN"}
 
     @pytest.mark.parametrize(
@@ -125,7 +127,7 @@ class TestPairFeatures:
             extract_features(pair_dataset[a], pair_dataset[b], names=names)
             for a, b in pairs
         ]
-        actual = pair_features(pair_dataset, iter(pairs), names=names)
+        actual = pair_features(pair_dataset, iter(pairs), names=names).vectors()
         assert repr(actual) == repr(expected)
         assert list(actual[0]) == list(FEATURE_NAMES if names is None else names)
 

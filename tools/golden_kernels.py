@@ -105,10 +105,10 @@ def golden_pairs(dataset, count: int = N_PAIRS) -> List[Pair]:
 def compute_feature_rows(
     dataset, pairs: Sequence[Pair]
 ) -> List[Dict[str, object]]:
-    """The expected feature matrix, via the batch extractor."""
+    """The expected feature matrix's rows, via the batch extractor."""
     from repro.similarity.features import extract_features_batch
 
-    return extract_features_batch(dataset, list(pairs))
+    return extract_features_batch(dataset, list(pairs)).vectors()
 
 
 def ranked_scorers():

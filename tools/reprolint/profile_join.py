@@ -62,9 +62,12 @@ class ProfileError(ValueError):
 #: Hand-declared span name -> function qualnames doing that span's work.
 #: These bridge the joins the call graph cannot make statically: the
 #: block-scoring span is opened in MFIBlocks driver code that reaches
-#: the scorer only through an injected ``config.scoring`` instance, and
-#: the parallel mining/classify spans wrap ``executor.map_chunks`` whose
-#: work function travels as data, not as a call.
+#: the scorer only through an injected ``config.scoring`` instance, the
+#: parallel mining/classify spans wrap ``executor.map_chunks`` whose
+#: work function travels as data, not as a call, and the classifier
+#: reaches the matrix scorer (``model.score_matrix``) and the feature
+#: column packers (a classmethod picked per feature kind) through calls
+#: the graph leaves unresolved.
 DECLARED_SPAN_SITES: Dict[str, Tuple[str, ...]] = {
     "mfiblocks.score": (
         "repro.blocking.scoring:BlockScorer.pair_similarity_batch",
@@ -82,10 +85,13 @@ DECLARED_SPAN_SITES: Dict[str, Tuple[str, ...]] = {
         "repro.mining.fpgrowth:_mine_shard",
     ),
     "classify.rank": (
+        "repro.classify.adtree:ADTreeModel.score_matrix",
         "repro.parallel.work:classify_pair_chunk",
     ),
     "classify.features": (
         "repro.similarity.features:extract_features_batch",
+        "repro.similarity.features:NumericColumn.from_values",
+        "repro.similarity.features:CategoricalColumn.from_values",
     ),
 }
 
