@@ -64,7 +64,7 @@ def _column_of(
     A column of the other kind with present values is a ``TypeError``:
     conditions test the column kind the learner built them from.
     """
-    column = matrix.column(feature)
+    column = matrix.columns.get(feature)
     if column is None or not column.present.any():
         return None
     if not isinstance(column, kind):

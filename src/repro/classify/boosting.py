@@ -28,8 +28,9 @@ and their difference (present but not satisfied) are built once per fit
 as float64 matrices, one row per base condition, and each round reduces
 to five matrix-vector products per precondition, keeping 10 rounds over
 ~10k pairs around a second. The products stay one GEMV per matrix and
-precondition: stacking a round's preconditions into one GEMM was tried
-and changes the sums in the last bits, which would move the tree.
+precondition: a GEMM over a round's stacked preconditions accumulates
+in another order, so its sums can differ in the last bits, and that
+would move the tree.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class ADTreeLearner:
         satisfied_rows: List[NDArray[np.bool_]] = []
         present_rows: List[NDArray[np.bool_]] = []
 
-        for name, column in matrix.items():
+        for name, column in matrix.columns.items():
             present = column.present
             if not present.any():
                 continue

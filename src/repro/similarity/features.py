@@ -43,7 +43,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -138,7 +137,7 @@ def soundex(name: str) -> str:
 # -- the columnar feature matrix -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NumericColumn:
     """A numeric feature over n pairs: float64 values plus a present mask.
 
@@ -167,7 +166,7 @@ class NumericColumn:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalColumn:
     """A categorical feature over n pairs as integer codes.
 
@@ -227,8 +226,9 @@ class FeatureMatrix:
     The one production representation of pairwise features: the batch
     extractor builds it, :class:`~repro.classify.boosting.ADTreeLearner`
     fits on it and :meth:`~repro.classify.adtree.ADTreeModel.score_matrix`
-    scores it. Dict vectors exist only at the API edge
-    (:meth:`vectors`, :meth:`from_vectors`).
+    scores it. ``columns`` maps each name, in feature order, to its
+    column. Dict vectors exist only at the API edge (:meth:`vectors`,
+    :meth:`from_vectors`).
     """
 
     __slots__ = ("names", "columns", "n_rows")
@@ -250,14 +250,6 @@ class FeatureMatrix:
 
     def __repr__(self) -> str:
         return f"FeatureMatrix({self.n_rows} rows x {len(self.names)} features)"
-
-    def items(self) -> Iterator[Tuple[str, FeatureColumn]]:
-        """``(name, column)`` in feature order."""
-        return iter(self.columns.items())
-
-    def column(self, name: str) -> Optional[FeatureColumn]:
-        """The named column, or ``None`` if the matrix lacks it."""
-        return self.columns.get(name)
 
     def vectors(self) -> List[FeatureVector]:
         """One dict per row, keys in feature order — the dict API edge."""

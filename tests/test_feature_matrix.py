@@ -125,13 +125,13 @@ class TestRoundTrip:
         matrix = FeatureMatrix.from_vectors(
             [{"x": 1.5, "c": True}, {"x": None, "c": "yes"}, {"x": 0.5, "c": None}]
         )
-        x, c = matrix.column("x"), matrix.column("c")
+        x, c = matrix.columns["x"], matrix.columns["c"]
         assert isinstance(x, NumericColumn)
         assert x.present.tolist() == [True, False, True]
         assert isinstance(c, CategoricalColumn)
         assert c.labels == ("True", "yes")
         assert c.codes.tolist() == [0, 1, -1]
-        assert matrix.column("absent") is None
+        assert "absent" not in matrix.columns
 
     def test_ragged_vectors_read_absent_keys_as_missing(self):
         matrix = FeatureMatrix.from_vectors([{"x": 1.0}, {"c": "no"}])
