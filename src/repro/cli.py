@@ -63,7 +63,7 @@ from repro.version import repro_version
 
 __all__ = ["main", "build_parser"]
 
-#: Gate entries that own their flags: name -> (module, help summary).
+#: Commands that own their flags: name -> (module, help summary).
 _MODULE_COMMANDS = {
     "sanitize": (
         "repro.sanitize",
@@ -74,6 +74,10 @@ _MODULE_COMMANDS = {
         "repro.resilience.chaos",
         "run the seeded fault-injection scenarios and verify the "
         "resilience invariants",
+    ),
+    "lint": (
+        "tools.reprolint.cli",
+        "run the reprolint static analysis (tools/reprolint)",
     ),
 }
 
@@ -174,37 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--no-classifier", action="store_true",
                             help="skip the Cls conditions")
     experiment.add_argument("--tag-seed", type=int, default=97)
-
-    lint = commands.add_parser(
-        "lint",
-        help="run the reprolint determinism checks (tools/reprolint)",
-    )
-    lint.add_argument("paths", nargs="*", type=Path,
-                      help="files or directories "
-                           "(default: [tool.reprolint] paths)")
-    lint.add_argument("--format", choices=("human", "json", "sarif"),
-                      default="human")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule codes to run exclusively")
-    lint.add_argument("--ignore", default=None,
-                      help="comma-separated rule codes to skip")
-    lint.add_argument("--statistics", action="store_true",
-                      help="append per-rule counts")
-    lint.add_argument("--contracts", action="store_true",
-                      help="also run the inter-procedural RL100-RL103 "
-                           "contract checks")
-    lint.add_argument("--parallel-safety", action="store_true",
-                      help="also run the RL200-RL205 parallel-safety "
-                           "checks (fork/pickle/merge contracts)")
-    lint.add_argument("--perf", action="store_true",
-                      help="also run the RL300-RL305 performance checks "
-                           "over @hot_path functions")
-    lint.add_argument("--profile-report", type=Path, default=None,
-                      help="RunReport JSON to rank --perf findings by "
-                           "measured run-time share")
-    lint.add_argument("--min-hot-fraction", type=float, default=None,
-                      help="measured share at or above which a --perf "
-                           "finding gates (default 0.02)")
 
     # Argv after these names goes straight to the module's own parser
     # (see main); they are listed here for `repro --help`.
@@ -590,54 +563,28 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Shell into ``tools.reprolint`` so CLI users get the CI checks locally.
+def _lint_from_checkout(argv: List[str]) -> int:
+    """Run ``python -m tools.reprolint`` from the repository root.
 
     The ``tools`` package lives in the repository, not in the installed
-    distribution: prefer an in-process import (works from a repo
-    checkout and in tests), and fall back to ``python -m
-    tools.reprolint`` from the repo root when the current process
-    cannot see it.
+    distribution: ``repro lint`` imports it in-process when it can (a
+    repo checkout, the tests) and falls back to this when it cannot.
     """
-    lint_argv: List[str] = [str(path) for path in args.paths]
-    lint_argv += ["--format", args.format]
-    if args.select:
-        lint_argv += ["--select", args.select]
-    if args.ignore:
-        lint_argv += ["--ignore", args.ignore]
-    if args.statistics:
-        lint_argv.append("--statistics")
-    if args.contracts:
-        lint_argv.append("--contracts")
-    if args.parallel_safety:
-        lint_argv.append("--parallel-safety")
-    if args.perf:
-        lint_argv.append("--perf")
-    if args.profile_report is not None:
-        lint_argv += ["--profile-report", str(args.profile_report)]
-    if args.min_hot_fraction is not None:
-        lint_argv += ["--min-hot-fraction", str(args.min_hot_fraction)]
-
-    try:
-        from tools.reprolint.cli import main as reprolint_main
-    except ImportError:
-        repo_root = Path(__file__).resolve().parents[2]
-        if not (repo_root / "tools" / "reprolint").is_dir():
-            print(
-                "repro lint: the `tools.reprolint` package is not importable "
-                "and no repository checkout was found; run from the repo "
-                "root (python -m tools.reprolint)",
-                file=sys.stderr,
-            )
-            return 2
-        import subprocess
-
-        completed = subprocess.run(
-            [sys.executable, "-m", "tools.reprolint", *lint_argv],
-            cwd=repo_root,
+    repo_root = Path(__file__).resolve().parents[2]
+    if not (repo_root / "tools" / "reprolint").is_dir():
+        print(
+            "repro lint: the `tools.reprolint` package is not importable "
+            "and no repository checkout was found; run from the repo "
+            "root (python -m tools.reprolint)",
+            file=sys.stderr,
         )
-        return completed.returncode
-    return reprolint_main(lint_argv)
+        return 2
+    import subprocess
+
+    completed = subprocess.run(
+        [sys.executable, "-m", "tools.reprolint", *argv], cwd=repo_root
+    )
+    return completed.returncode
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -796,7 +743,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "narratives": _cmd_narratives,
     "experiment": _cmd_experiment,
-    "lint": _cmd_lint,
     "ingest": _cmd_ingest,
     "checkpoint": _cmd_checkpoint,
 }
@@ -806,7 +752,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _MODULE_COMMANDS:
-        module = importlib.import_module(_MODULE_COMMANDS[argv[0]][0])
+        try:
+            module = importlib.import_module(_MODULE_COMMANDS[argv[0]][0])
+        except ImportError:
+            if argv[0] != "lint":
+                raise
+            return _lint_from_checkout(argv[1:])
         return int(module.main(argv[1:]))
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)

@@ -53,10 +53,10 @@ determinism claim — a ``@hot_path`` function can be ``@pure`` or not —
 and they never silence the determinism or parallel-safety passes:
 
 ``@hot_path``
-    A measured hot entry point: the profile baseline attributes real
-    run time to this function (or the vectorization plan targets it).
-    The perf pass roots its loop-cost analysis here, alongside executor
-    work roots.
+    A measured hot entry point: ``benchmarks/e2e`` per-layer times put
+    real run time under this function (or the vectorization plan
+    targets it). The perf pass roots its loop-cost analysis here,
+    alongside executor work roots.
 ``@batch_kernel``
     A batch implementation whose inner loop is the *point* (a
     vectorized kernel, a tight primitive the plan already accepted).

@@ -193,6 +193,25 @@ class TestLint:
         dirty.write_text("import random\nx = random.random()\n")
         assert main(["lint", str(dirty), "--select", "RL003"]) == 0
 
+    def test_lint_writes_perf_baseline(self, tmp_path):
+        # Regenerating the inventory in place covers its own findings.
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "pkg" / "mod.py").write_text(
+            "from contracts import hot_path\n\n\n"
+            "def cost(x):\n    return x + 1\n\n\n"
+            "@hot_path\ndef total(values):\n"
+            "    return sum([cost(v) for v in values])\n"
+        )
+        config = tmp_path / "pyproject.toml"
+        config.write_text('[tool.reprolint]\ncontract-packages = ["pkg"]\n')
+        baseline = tmp_path / "docs" / "PERF_LINT_BASELINE.md"
+        code = main(["lint", str(tmp_path / "pkg"), "--perf",
+                     "--config", str(config),
+                     "--write-perf-baseline", str(baseline)])
+        assert code == 0
+        assert "`pkg.mod:total`" in baseline.read_text()
+
 
 class TestIngest:
     @pytest.fixture()

@@ -1,11 +1,11 @@
-"""Tests for the RL300-series performance pass and its profile join.
+"""Tests for the RL300-series performance pass and its inventory gate.
 
 Rule-isolated violation fixtures under ``tests/fixtures/perf_lint/``
-(each fires exactly its own rule), profile-join units on the committed
-miniature RunReport, severity/ranking behaviour with and without a
-profile, the baseline-inventory round trip, byte-determinism across
-``PYTHONHASHSEED``, the RL303 autofixer, and the repo self-sweep that
-is the acceptance gate (clean modulo ``docs/PERF_LINT_BASELINE.md``).
+(each fires exactly its own rule, as an error), the hot set as the
+gate, the baseline-inventory round trip and the CLI exit codes it
+drives, byte-determinism across ``PYTHONHASHSEED``, the RL303
+autofixer, and the repo self-sweep that is the acceptance gate (clean
+modulo ``docs/PERF_LINT_BASELINE.md``).
 """
 
 from __future__ import annotations
@@ -19,38 +19,29 @@ from pathlib import Path
 import pytest
 
 from tools.reprolint.autofix import fix_membership_sets
-from tools.reprolint.callgraph import build_call_graph
+from tools.reprolint.cli import main as reprolint_main
 from tools.reprolint.config import load_config
 from tools.reprolint.engine import analyze_perf_paths, analyze_perf_sources
 from tools.reprolint.findings import Severity
 from tools.reprolint.perf_lint import (
+    BASELINE_PATH,
     PERF_RULES,
     demote_inventoried,
     parse_baseline,
     render_baseline,
 )
-from tools.reprolint.profile_join import (
-    ProfileError,
-    ProfileJoin,
-    SpanProfile,
-    discover_span_sites,
-    load_report,
-)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "perf_lint"
 REPO_ROOT = Path(__file__).resolve().parents[1]
-REPORT = REPO_ROOT / "benchmarks" / "baselines" / "parallel_w1.report.json"
-BASELINE = REPO_ROOT / "docs" / "PERF_LINT_BASELINE.md"
+BASELINE = REPO_ROOT / BASELINE_PATH
 
 
-def perf_findings(source, path="src/module.py", profile=None, **kwargs):
+def perf_findings(source, path="src/module.py"):
     """Run RL300-RL305 over one dedented fixture module."""
-    return analyze_perf_sources(
-        [(path, textwrap.dedent(source))], profile=profile, **kwargs
-    )
+    return analyze_perf_sources([(path, textwrap.dedent(source))])
 
 
-#: One hot function whose span covers 80% of the mini report's run.
+#: One @hot_path function with one per-element loop: one RL300 finding.
 HOT_SOURCE = """
     from contracts import hot_path
 
@@ -60,12 +51,11 @@ HOT_SOURCE = """
 
 
     @hot_path
-    def total_cost(tracer, values):
-        with tracer.span("stage.hot"):
-            total = 0
-            for value in values:
-                total = total + unit_cost(value)
-            return total
+    def total_cost(values):
+        total = 0
+        for value in values:
+            total = total + unit_cost(value)
+        return total
 """
 
 
@@ -89,283 +79,52 @@ class TestViolationFixtures:
         }
         assert prefixes == set(PERF_RULES)
 
-    def test_fixtures_fire_without_profile_as_warnings(self):
-        fixture = FIXTURES / "rl300_per_element_loop.py"
-        found = analyze_perf_sources(
-            [("src/" + fixture.name, fixture.read_text(encoding="utf-8"))]
-        )
-        assert found
-        for pf in found:
-            assert pf.finding.severity is Severity.WARNING
-            assert pf.share is None
-            assert not pf.hot
+    def test_fixtures_fire_as_errors(self):
+        for fixture in sorted(FIXTURES.glob("rl3*.py")):
+            found = analyze_perf_sources(
+                [("src/" + fixture.name, fixture.read_text(encoding="utf-8"))]
+            )
+            assert found, fixture.name
+            for pf in found:
+                assert pf.finding.severity is Severity.ERROR, fixture.name
 
 
-class TestLoadReport:
-    def test_mini_report_self_times(self):
-        profile = load_report(FIXTURES / "mini_report.json")
-        assert profile.total_seconds == pytest.approx(1.0)
-        # Root total 1.0s minus direct children 0.8 + 0.1.
-        assert profile.self_seconds["pipeline.run"] == pytest.approx(0.1)
-        assert profile.self_seconds["stage.hot"] == pytest.approx(0.8)
-        assert profile.self_seconds["stage.cold"] == pytest.approx(0.1)
-        assert profile.share("stage.hot") == pytest.approx(0.8)
-        assert profile.share("not-a-span") == 0.0
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ProfileError):
-            load_report(tmp_path / "nope.json")
-
-    def test_non_report_json_raises(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text('{"schema": 1, "rows": []}', encoding="utf-8")
-        with pytest.raises(ProfileError):
-            load_report(bogus)
-
-    def test_malformed_stage_raises(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(
-            '{"schema": 1, "stages": [{"name": "x"}]}', encoding="utf-8"
-        )
-        with pytest.raises(ProfileError):
-            load_report(bogus)
-
-    def test_total_falls_back_to_root_stage_sum(self, tmp_path):
-        report = tmp_path / "report.json"
-        report.write_text(
-            '{"schema": 1, "stages": ['
-            '{"name": "a", "path": "a", "depth": 0, "calls": 1,'
-            ' "total_seconds": 3.0},'
-            '{"name": "b", "path": "b", "depth": 0, "calls": 1,'
-            ' "total_seconds": 1.0}]}',
-            encoding="utf-8",
-        )
-        profile = load_report(report)
-        assert profile.total_seconds == pytest.approx(4.0)
-        assert profile.share("a") == pytest.approx(0.75)
-
-
-class TestSpanSiteDiscovery:
-    def test_string_literal_argument(self):
-        graph = build_call_graph(
-            [
-                (
-                    "src/mod.py",
-                    textwrap.dedent(
-                        """
-                        def run(tracer, items):
-                            with tracer.span("stage.hot"):
-                                return sorted(items)
-                        """
-                    ),
-                )
-            ]
-        )
-        assert discover_span_sites(graph) == {"stage.hot": {"mod:run"}}
-
-    def test_module_level_constant_argument(self):
-        graph = build_call_graph(
-            [
-                (
-                    "src/mod.py",
-                    textwrap.dedent(
-                        """
-                        HOT_SPAN = "stage.hot"
-
-                        def run(tracer, items):
-                            with tracer.span(HOT_SPAN):
-                                return sorted(items)
-                        """
-                    ),
-                )
-            ]
-        )
-        assert discover_span_sites(graph) == {"stage.hot": {"mod:run"}}
-
-    def test_imported_constant_chased_to_origin_module(self):
-        graph = build_call_graph(
-            [
-                ("src/names.py", 'HOT_SPAN = "stage.hot"\n'),
-                (
-                    "src/mod.py",
-                    textwrap.dedent(
-                        """
-                        from names import HOT_SPAN
-
-                        def run(tracer, items):
-                            with tracer.span(HOT_SPAN):
-                                return sorted(items)
-                        """
-                    ),
-                ),
-            ]
-        )
-        assert discover_span_sites(graph) == {"stage.hot": {"mod:run"}}
-
-    def test_computed_names_are_skipped(self):
-        graph = build_call_graph(
-            [
-                (
-                    "src/mod.py",
-                    textwrap.dedent(
-                        """
-                        def run(tracer, stage, items):
-                            with tracer.span(f"stage.{stage}"):
-                                return sorted(items)
-                        """
-                    ),
-                )
-            ]
-        )
-        assert discover_span_sites(graph) == {}
-
-
-class TestProfileJoin:
-    SOURCE = textwrap.dedent(
-        """
-        def helper(x):
-            return x + 1
-
-        def cold_stage(tracer, items):
-            with tracer.span("stage.cold"):
-                return [helper(i) for i in items]
-
-        def hot_stage(tracer, items):
-            with tracer.span("stage.hot"):
-                return cold_stage(tracer, items)
-
-        def unrelated(x):
-            return x
-        """
-    )
-
-    def join(self):
-        graph = build_call_graph([("src/mod.py", self.SOURCE)])
-        return ProfileJoin(graph, load_report(FIXTURES / "mini_report.json"))
-
-    def test_share_reaches_span_site_and_callees(self):
-        join = self.join()
-        assert join.share_of("mod:hot_stage") == pytest.approx(0.8)
-        # Attributed by stage.hot (as a visited callee) plus its own span.
-        assert join.share_of("mod:cold_stage") == pytest.approx(0.9)
-
-    def test_self_time_stops_at_another_spans_site(self):
-        # stage.hot's self time must not flow past cold_stage's door:
-        # helper's only measured share is stage.cold's own 10%.
-        assert self.join().share_of("mod:helper") == pytest.approx(0.1)
-
-    def test_unreached_function_is_unmeasured(self):
-        assert self.join().share_of("mod:unrelated") is None
-
-    def test_share_is_capped_at_one(self):
-        graph = build_call_graph(
-            [("src/mod.py", "def f(x):\n    return x\n")]
-        )
-        join = ProfileJoin(
-            graph,
-            SpanProfile({"a": 0.7, "b": 0.6}, 1.0),
-            declared_sites={"a": ("mod:f",), "b": ("mod:f",)},
-        )
-        assert join.share_of("mod:f") == pytest.approx(1.0)
-
-
-class TestSeverityAndRanking:
-    def mini_profile(self):
-        return load_report(FIXTURES / "mini_report.json")
-
-    def test_hot_finding_is_error_with_share_suffix(self):
-        found = perf_findings(HOT_SOURCE, profile=self.mini_profile())
+class TestSeverity:
+    def test_hot_set_finding_is_error(self):
+        found = perf_findings(HOT_SOURCE)
         assert len(found) == 1
         pf = found[0]
         assert pf.finding.rule == "RL300"
-        assert pf.hot
-        assert pf.share == pytest.approx(0.8)
+        assert pf.qualname == "module:total_cost"
         assert pf.finding.severity is Severity.ERROR
-        assert "[hot: 80.0% of measured run time]" in pf.finding.message
+        assert pf.finding.message.endswith("once vectorized")
 
-    def test_min_hot_fraction_demotes_to_cold_warning(self):
-        found = perf_findings(
-            HOT_SOURCE, profile=self.mini_profile(), min_hot_fraction=0.9
-        )
-        assert len(found) == 1
-        pf = found[0]
-        assert not pf.hot
-        assert pf.finding.severity is Severity.WARNING
-        assert "[cold: 80.0%" in pf.finding.message
+    def test_code_outside_the_hot_set_is_not_scanned(self):
+        assert perf_findings(HOT_SOURCE.replace("@hot_path", "")) == []
 
-    def test_unmeasured_hot_path_is_cold_warning(self):
+    def test_batch_kernel_callee_is_not_scanned(self):
         source = HOT_SOURCE + """
 
+    @batch_kernel
+    def kernel(values):
+        return [unit_cost(value) for value in values]
+
+
     @hot_path
-    def untraced(values):
-        total = 0
-        for value in values:
-            total = total + unit_cost(value)
-        return total
+    def batched(values):
+        return kernel(values)
 """
-        found = perf_findings(source, profile=self.mini_profile())
-        by_message = {
-            pf.finding.message: pf
-            for pf in found
-            if "untraced" in pf.finding.message
-        }
-        assert by_message
-        for pf in by_message.values():
-            assert pf.share is None
-            assert pf.finding.severity is Severity.WARNING
-            assert "[cold: no measured time]" in pf.finding.message
-
-    def test_without_profile_no_share_suffix(self):
-        found = perf_findings(HOT_SOURCE)
-        assert len(found) == 1
-        assert "[hot" not in found[0].finding.message
-        assert "[cold" not in found[0].finding.message
-        assert found[0].finding.severity is Severity.WARNING
-
-    def test_hot_findings_ranked_by_share_first(self):
-        source = textwrap.dedent(
-            """
-            from contracts import hot_path
-
-
-            def unit_cost(x):
-                return x + 1
-
-
-            @hot_path
-            def cold_loop(tracer, values):
-                with tracer.span("stage.cold"):
-                    total = 0
-                    for value in values:
-                        total = total + unit_cost(value)
-                    return total
-
-
-            @hot_path
-            def hot_loop(tracer, values):
-                with tracer.span("stage.hot"):
-                    total = 0
-                    for value in values:
-                        total = total + unit_cost(value)
-                    return total
-            """
+        source = source.replace(
+            "import hot_path", "import batch_kernel, hot_path"
         )
-        found = perf_findings(source, profile=self.mini_profile())
-        shares = [pf.share for pf in found if pf.hot]
-        assert len(shares) >= 2
-        assert shares == sorted(shares, reverse=True)
-        assert found[0].share == pytest.approx(0.8)
+        found = perf_findings(source)
+        assert [pf.qualname for pf in found] == ["module:total_cost"]
 
 
 class TestBaselineRoundTrip:
-    def findings(self):
-        profile = load_report(FIXTURES / "mini_report.json")
-        return perf_findings(HOT_SOURCE, profile=profile)
-
     def test_render_parse_demote_round_trip(self):
-        found = self.findings()
-        text = render_baseline(found, "benchmarks/mini_report.json")
-        inventory = parse_baseline(text)
+        found = perf_findings(HOT_SOURCE)
+        inventory = parse_baseline(render_baseline(found))
         key = ("RL300", "module:total_cost", "src/module.py")
         assert inventory == {key: 1}
         demoted = demote_inventoried(found, inventory)
@@ -374,18 +133,84 @@ class TestBaselineRoundTrip:
         assert demoted[0].finding.message.endswith("(inventoried)")
 
     def test_excess_findings_stay_errors(self):
-        found = self.findings()
+        found = perf_findings(HOT_SOURCE)
         inventory = {
             ("RL300", "module:total_cost", "src/module.py"): 0,
         }
         demoted = demote_inventoried(found, inventory)
         assert demoted[0].finding.severity is Severity.ERROR
 
-    def test_cold_findings_listed_but_never_counted(self):
-        found = perf_findings(HOT_SOURCE)  # no profile: all cold
-        text = render_baseline(found, "benchmarks/mini_report.json")
-        assert "## Cold findings" in text
-        assert parse_baseline(text) == {}
+    def test_every_finding_is_listed_and_counted(self):
+        source = HOT_SOURCE + """
+
+    @hot_path
+    def twice(values):
+        for value in values:
+            unit_cost(value)
+        return [unit_cost(value) for value in values]
+"""
+        text = render_baseline(perf_findings(source))
+        assert parse_baseline(text) == {
+            ("RL300", "module:total_cost", "src/module.py"): 1,
+            ("RL300", "module:twice", "src/module.py"): 2,
+        }
+        assert f"--write-perf-baseline {BASELINE_PATH}" in text
+
+
+class TestGate:
+    """``python -m tools.reprolint <pkg> --perf`` exit codes: the hot-set gate."""
+
+    @pytest.fixture()
+    def project(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "pkg" / "mod.py").write_text(
+            textwrap.dedent(HOT_SOURCE), encoding="utf-8"
+        )
+        config = tmp_path / "pyproject.toml"
+        config.write_text(
+            '[tool.reprolint]\npaths = ["pkg"]\n'
+            'contract-packages = ["pkg"]\n',
+            encoding="utf-8",
+        )
+        return tmp_path
+
+    def lint(self, project, *extra):
+        config = str(project / "pyproject.toml")
+        return reprolint_main(
+            [str(project / "pkg"), "--perf", "--config", config, *extra]
+        )
+
+    def inventory(self, project):
+        target = str(project / BASELINE_PATH)
+        assert self.lint(project, "--write-perf-baseline", target) == 0
+
+    def test_uninventoried_hot_finding_exits_1(self, project, capsys):
+        assert self.lint(project) == 1
+        assert "RL300" in capsys.readouterr().out
+
+    def test_inventoried_finding_exits_0(self, project, capsys):
+        self.inventory(project)
+        assert self.lint(project) == 0
+        assert "(inventoried)" in capsys.readouterr().out
+
+    def test_finding_beyond_inventoried_count_exits_1(self, project, capsys):
+        self.inventory(project)
+        module = project / "pkg" / "mod.py"
+        module.write_text(
+            module.read_text(encoding="utf-8").replace(
+                "    return total",
+                "    for value in values:\n"
+                "        total = total + unit_cost(value)\n"
+                "    return total",
+            ),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert self.lint(project) == 1
+        out = capsys.readouterr().out
+        assert out.count("RL300") == 2
+        assert out.count("(inventoried)") == 1
 
 
 class TestRL303Autofix:
@@ -432,8 +257,6 @@ class TestDeterminism:
                 "src",
                 "tools",
                 "--perf",
-                "--profile-report",
-                str(REPORT.relative_to(REPO_ROOT)),
             ],
             cwd=REPO_ROOT,
             env=env,
@@ -460,18 +283,10 @@ class TestRepoSweep:
         ]
         if not roots:
             pytest.skip("repository checkout required")
-        return analyze_perf_paths(
-            roots,
-            config=config,
-            root=REPO_ROOT,
-            profile=load_report(REPORT),
-        )
+        return analyze_perf_paths(roots, config=config, root=REPO_ROOT)
 
     def test_committed_baseline_matches_regenerated_inventory(self):
-        found = self.sweep()
-        regenerated = render_baseline(
-            found, str(REPORT.relative_to(REPO_ROOT))
-        )
+        regenerated = render_baseline(self.sweep())
         assert regenerated == BASELINE.read_text(encoding="utf-8")
 
     def test_repo_clean_modulo_committed_baseline(self):
@@ -486,8 +301,8 @@ class TestRepoSweep:
         assert errors == []
 
     def test_baseline_covers_paper_hot_paths(self):
-        # The acceptance criterion: the inventory must tie the scoring
-        # loops and the FP-growth expansion loops to measured shares.
+        # The acceptance criterion: the inventory must list the scoring
+        # loops and the FP-growth expansion loops.
         text = BASELINE.read_text(encoding="utf-8")
         assert "src/repro/similarity/items.py" in text
         assert "src/repro/mining/fpgrowth.py" in text

@@ -30,14 +30,12 @@ from tools.reprolint.engine import (
 from tools.reprolint.findings import Finding, Severity
 from tools.reprolint.parallel_safety import PARALLEL_RULES
 from tools.reprolint.perf_lint import (
-    DEFAULT_MIN_HOT_FRACTION,
+    BASELINE_PATH,
     PERF_RULES,
-    PerfFinding,
     demote_inventoried,
     parse_baseline,
     render_baseline,
 )
-from tools.reprolint.profile_join import ProfileError, load_report
 from tools.reprolint.rules import ALL_RULES
 from tools.reprolint.sarif import render_sarif, rule_catalogue
 
@@ -99,40 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--perf",
         action="store_true",
         help="additionally run the performance pass (RL300-RL305) over "
-        "[tool.reprolint] contract-packages",
-    )
-    parser.add_argument(
-        "--profile-report",
-        type=Path,
-        default=None,
-        help="RunReport JSON used to rank --perf findings by measured "
-        "run-time share (hot findings gate, cold ones warn)",
-    )
-    parser.add_argument(
-        "--min-hot-fraction",
-        type=float,
-        default=DEFAULT_MIN_HOT_FRACTION,
-        help="measured share at or above which a --perf finding is hot "
-        f"(default: {DEFAULT_MIN_HOT_FRACTION})",
-    )
-    parser.add_argument(
-        "--perf-baseline",
-        type=Path,
-        default=None,
-        help="accepted-findings inventory consulted to demote known hot "
-        "findings (default: <root>/docs/PERF_LINT_BASELINE.md)",
-    )
-    parser.add_argument(
-        "--no-perf-baseline",
-        action="store_true",
-        help="ignore any committed perf baseline inventory",
+        "the hot set of [tool.reprolint] contract-packages; findings not "
+        f"inventoried in <root>/{BASELINE_PATH} are errors",
     )
     parser.add_argument(
         "--write-perf-baseline",
         type=Path,
         default=None,
-        help="write the ranked --perf finding inventory to this path "
-        "and continue",
+        help="write the --perf finding inventory to this path and continue",
     )
     parser.add_argument(
         "--fix",
@@ -174,24 +146,6 @@ def _list_rules() -> str:
         lines.append(
             f"{code}  {PERF_RULES[code]:<22} performance pass (--perf)"
         )
-    return "\n".join(lines)
-
-
-def _render_perf_summary(perf_findings: List[PerfFinding]) -> str:
-    """Ranked hot-function block appended to human output."""
-    groups: dict = {}
-    for pf in perf_findings:
-        if not pf.hot:
-            continue
-        entry = groups.setdefault(pf.qualname, [pf.share or 0.0, 0])
-        entry[1] += 1
-    if not groups:
-        return ""
-    lines = ["", "hot functions by measured run-time share:"]
-    ordered = sorted(groups.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    for qualname, (share, count) in ordered:
-        plural = "s" if count != 1 else ""
-        lines.append(f"{share:>7.1%}  {qualname}  ({count} finding{plural})")
     return "\n".join(lines)
 
 
@@ -295,41 +249,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             + analyze_parallel_paths(contract_roots, config=config, root=root)
         )
 
-    perf_findings: List[PerfFinding] = []
     if args.perf:
-        profile = None
-        if args.profile_report is not None:
-            try:
-                profile = load_report(args.profile_report)
-            except ProfileError as exc:
-                print(f"reprolint: {exc}", file=sys.stderr)
-                return 2
         perf_findings = analyze_perf_paths(
-            contract_roots,
-            config=config,
-            root=root,
-            profile=profile,
-            min_hot_fraction=args.min_hot_fraction,
+            contract_roots, config=config, root=root
         )
         if args.write_perf_baseline is not None:
-            report_label = (
-                _relative_label(args.profile_report, root)
-                if args.profile_report is not None
-                else "<no profile report>"
-            )
             args.write_perf_baseline.write_text(
-                render_baseline(
-                    perf_findings, report_label, args.min_hot_fraction
-                ),
-                encoding="utf-8",
+                render_baseline(perf_findings), encoding="utf-8"
             )
             print(f"wrote perf baseline: {args.write_perf_baseline}")
-        baseline_path = (
-            args.perf_baseline
-            if args.perf_baseline is not None
-            else root / "docs" / "PERF_LINT_BASELINE.md"
-        )
-        if not args.no_perf_baseline and baseline_path.is_file():
+        baseline_path = root / BASELINE_PATH
+        if baseline_path.is_file():
             inventory = parse_baseline(
                 baseline_path.read_text(encoding="utf-8")
             )
@@ -342,20 +272,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_sarif(findings))
     else:
         output = _render_human(findings, statistics=args.statistics)
-        output += _render_perf_summary(perf_findings)
         if output:
             print(output)
-    # Only errors gate: cold (warning-severity) perf findings inform the
-    # ranking without failing the build.
+    # Only errors gate: inventoried perf findings are warnings.
     has_errors = any(f.severity is Severity.ERROR for f in findings)
     return 1 if has_errors else 0
-
-
-def _relative_label(path: Path, root: Path) -> str:
-    try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        return str(path)
 
 
 if __name__ == "__main__":  # pragma: no cover

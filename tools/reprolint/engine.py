@@ -21,12 +21,7 @@ from tools.reprolint.config import Config
 from tools.reprolint.contracts import check_contracts
 from tools.reprolint.findings import Finding, Severity
 from tools.reprolint.parallel_safety import check_parallel_safety
-from tools.reprolint.perf_lint import (
-    DEFAULT_MIN_HOT_FRACTION,
-    PerfFinding,
-    check_perf,
-)
-from tools.reprolint.profile_join import SpanProfile
+from tools.reprolint.perf_lint import PerfFinding, check_perf
 from tools.reprolint.rules import ALL_RULES, Rule
 from tools.reprolint.rules.base import RuleContext
 from tools.reprolint.suppressions import collect_suppressions
@@ -168,15 +163,13 @@ def analyze_parallel_paths(
 def analyze_perf_sources(
     sources: Sequence[tuple],
     config: Optional[Config] = None,
-    profile: Optional[SpanProfile] = None,
-    min_hot_fraction: float = DEFAULT_MIN_HOT_FRACTION,
 ) -> List[PerfFinding]:
     """Run the performance pass (RL300-RL305) over (path, source) pairs.
 
-    Returns :class:`PerfFinding` (finding + share + hot flag) rather
-    than bare findings: callers need the ranking annotations for the
-    baseline inventory and the ranked human output. Suppressions and
-    config select/ignore/per-path-ignores apply as in the other passes.
+    Returns :class:`PerfFinding` (finding + hot function) rather than
+    bare findings: the baseline inventory keys on the function.
+    Suppressions and config select/ignore/per-path-ignores apply as in
+    the other passes.
     """
     config = config or Config()
     graph = build_call_graph(list(sources))
@@ -184,9 +177,7 @@ def analyze_perf_sources(
         path: collect_suppressions(text) for path, text in sources
     }
     out: List[PerfFinding] = []
-    for pf in check_perf(
-        graph, profile=profile, min_hot_fraction=min_hot_fraction
-    ):
+    for pf in check_perf(graph):
         if not config.rule_enabled(pf.finding.rule, pf.finding.path):
             continue
         suppressed = suppressions.get(pf.finding.path)
@@ -202,15 +193,10 @@ def analyze_perf_paths(
     paths: Iterable[Path],
     config: Optional[Config] = None,
     root: Optional[Path] = None,
-    profile: Optional[SpanProfile] = None,
-    min_hot_fraction: float = DEFAULT_MIN_HOT_FRACTION,
 ) -> List[PerfFinding]:
     """Performance pass over every Python file under the paths."""
     return analyze_perf_sources(
-        _read_sources(paths, config, root),
-        config=config,
-        profile=profile,
-        min_hot_fraction=min_hot_fraction,
+        _read_sources(paths, config, root), config=config
     )
 
 

@@ -1,4 +1,4 @@
-"""RL300-series performance pass: a loop-nesting cost model, profile-ranked.
+"""RL300-series performance pass: a loop-nesting cost model over the hot set.
 
 Open item 2 of the roadmap — vectorizing the 48-feature similarity
 kernel and the FPMax inner loops — needs a mechanical worklist, not a
@@ -33,14 +33,11 @@ loop-cost model:
 its body nor traverses into it, so a finished vectorization removes its
 findings without suppressions.
 
-The headline mechanism is **profile-guided ranking**
-(``tools/reprolint/profile_join.py``): with ``--profile-report`` the
-pass annotates every finding with the measured upper-bound share of run
-time that can reach its function, marks findings at or above
-``--min-hot-fraction`` *hot* (severity ``error``), and everything else
-*cold* (severity ``warning``). The gate therefore fails only on code
-the committed baseline reports prove expensive; the ranked hot list is
-the vectorization plan, inventoried in ``docs/PERF_LINT_BASELINE.md``.
+Every finding is an error: the hot set *is* the gate. The accepted
+worklist is inventoried in ``docs/PERF_LINT_BASELINE.md``
+(:func:`render_baseline`), and :func:`demote_inventoried` turns the
+findings it covers into warnings. Where the time actually goes is
+measured by ``benchmarks/e2e`` (``run_e2e.py --trace 1``), not here.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import ast
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.callgraph import (
     CallGraph,
@@ -60,19 +57,18 @@ from tools.reprolint.callgraph import (
     _partial_target,
     _resolve_callable_expr,
 )
-from tools.reprolint.contracts import PERF_KINDS, contracts_for
+from tools.reprolint.contracts import contracts_for
 from tools.reprolint.findings import Finding, Severity
 from tools.reprolint.parallel_safety import (
     _SUBMIT_METHODS,
     _chain_root,
     _local_binding,
 )
-from tools.reprolint.profile_join import ProfileJoin, SpanProfile
 
 __all__ = [
     "PERF_RULES",
-    "DEFAULT_MIN_HOT_FRACTION",
     "PerfFinding",
+    "BASELINE_PATH",
     "check_perf",
     "render_baseline",
     "parse_baseline",
@@ -89,8 +85,8 @@ PERF_RULES: Dict[str, str] = {
     "RL305": "invariant-relookup",
 }
 
-#: Findings whose function's measured share is at or above this are hot.
-DEFAULT_MIN_HOT_FRACTION = 0.02
+#: The committed inventory, relative to the project root.
+BASELINE_PATH = "docs/PERF_LINT_BASELINE.md"
 
 #: Bare constructor calls that allocate (RL301) when unresolved in-graph.
 _ALLOC_CALLS = frozenset({"list", "dict", "set", "frozenset", "bytearray"})
@@ -104,12 +100,10 @@ _SEQUENCE_MUTATORS = frozenset(
 
 @dataclass
 class PerfFinding:
-    """A :class:`Finding` plus its profile-join annotations."""
+    """A :class:`Finding` plus the hot function it lives in."""
 
     finding: Finding
-    qualname: str  #: hot function the finding lives in
-    share: Optional[float]  #: measured upper-bound run-time share
-    hot: bool  #: share >= min_hot_fraction (never True without a profile)
+    qualname: str  #: the inventory keys findings by this function
 
 
 class _Loop:
@@ -192,15 +186,8 @@ def _func_args(func_node: ast.AST) -> Set[str]:
 
 
 class _PerfChecker:
-    def __init__(
-        self,
-        graph: CallGraph,
-        join: Optional[ProfileJoin],
-        min_hot_fraction: float,
-    ) -> None:
+    def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        self.join = join
-        self.min_hot_fraction = min_hot_fraction
         #: function qualname -> contract kinds declared on it
         self.contracts: Dict[str, Set[str]] = {}
         for qualname in sorted(graph.functions):
@@ -304,13 +291,7 @@ class _PerfChecker:
             local_types = _local_instance_types(self.graph, module, info)
             scan = _FunctionScan(self, info, module, local_types)
             scan.run()
-        self.perf_findings.sort(
-            key=lambda pf: (
-                0 if pf.hot else 1,
-                -(pf.share if pf.share is not None else 0.0),
-                pf.finding,
-            )
-        )
+        self.perf_findings.sort(key=lambda pf: pf.finding)
         return self.perf_findings
 
     def _emit(
@@ -320,38 +301,19 @@ class _PerfChecker:
         rule: str,
         message: str,
     ) -> None:
-        share: Optional[float] = None
-        if self.join is not None:
-            share = self.join.share_of(info.qualname)
-        hot = share is not None and share >= self.min_hot_fraction
-        if self.join is None:
-            suffix = ""
-        elif share is None:
-            suffix = " [cold: no measured time]"
-        elif hot:
-            suffix = f" [hot: {share:.1%} of measured run time]"
-        else:
-            suffix = f" [cold: {share:.1%} of measured run time]"
         finding = Finding(
             path=info.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=rule,
-            message=message + suffix,
-            severity=Severity.ERROR if hot else Severity.WARNING,
+            message=message,
+            severity=Severity.ERROR,
         )
         key = (finding.path, finding.line, finding.col, rule, finding.message)
         if key in self._seen:
             return
         self._seen.add(key)
-        self.perf_findings.append(
-            PerfFinding(
-                finding=finding,
-                qualname=info.qualname,
-                share=share,
-                hot=hot,
-            )
-        )
+        self.perf_findings.append(PerfFinding(finding, info.qualname))
 
 
 class _FunctionScan:
@@ -811,42 +773,16 @@ class _FunctionScan:
         )
 
 
-def check_perf(
-    graph: CallGraph,
-    profile: Optional[SpanProfile] = None,
-    min_hot_fraction: float = DEFAULT_MIN_HOT_FRACTION,
-    declared_sites: Optional[Dict[str, Tuple[str, ...]]] = None,
-) -> List[PerfFinding]:
-    """Run RL300-RL305 over the graph's hot set.
-
-    With ``profile`` the findings carry measured shares and hot findings
-    are errors; without it everything is a warning (nothing measured,
-    nothing gated). Hot findings come first, ranked by share.
-    """
-    join: Optional[ProfileJoin] = None
-    if profile is not None:
-        join = ProfileJoin(graph, profile, declared_sites=declared_sites)
-    return _PerfChecker(graph, join, min_hot_fraction).run()
+def check_perf(graph: CallGraph) -> List[PerfFinding]:
+    """Run RL300-RL305 over the graph's hot set; every finding is an
+    error, sorted by location."""
+    return _PerfChecker(graph).run()
 
 
 # -- baseline inventory -------------------------------------------------------
 
 
-def _group(
-    perf_findings: Iterable[PerfFinding],
-) -> Dict[Tuple[str, str, str], List[PerfFinding]]:
-    groups: Dict[Tuple[str, str, str], List[PerfFinding]] = {}
-    for pf in perf_findings:
-        key = (pf.finding.rule, pf.qualname, pf.finding.path)
-        groups.setdefault(key, []).append(pf)
-    return groups
-
-
-def render_baseline(
-    perf_findings: Sequence[PerfFinding],
-    report_path: str,
-    min_hot_fraction: float = DEFAULT_MIN_HOT_FRACTION,
-) -> str:
+def render_baseline(perf_findings: Sequence[PerfFinding]) -> str:
     """Render the accepted finding inventory (``docs/PERF_LINT_BASELINE.md``).
 
     Line-number free on purpose: the inventory keys findings by
@@ -854,70 +790,34 @@ def render_baseline(
     Byte-deterministic for a given finding list — the self-sweep test
     regenerates it and compares bytes.
     """
-    groups = _group(perf_findings)
-    hot_rows: List[Tuple[float, str, str, str, int]] = []
-    cold_rows: List[Tuple[str, str, str, int]] = []
-    for key in sorted(groups):
-        rule, qualname, path = key
-        members = groups[key]
-        if any(pf.hot for pf in members):
-            share = max(pf.share or 0.0 for pf in members)
-            hot_rows.append((share, rule, qualname, path, len(members)))
-        else:
-            cold_rows.append((rule, qualname, path, len(members)))
-    hot_rows.sort(key=lambda row: (-row[0], row[1], row[2], row[3]))
-
+    counts: Dict[Tuple[str, str, str], int] = {}
+    for pf in perf_findings:
+        key = (pf.finding.rule, pf.qualname, pf.finding.path)
+        counts[key] = counts.get(key, 0) + 1
     lines = [
         "# Performance-lint baseline inventory",
         "",
-        "The accepted RL300-series worklist: every *hot* finding of",
-        "`repro lint --perf` (measured run-time share at or above the",
-        "threshold) must appear here or the lint gate fails. Entries are",
-        "keyed by (rule, function, file) — no line numbers — so routine",
-        "edits do not invalidate the inventory. Shrink this file by",
-        "vectorizing an entry and marking the result `@batch_kernel`;",
-        "never grow it without a review.",
+        "The accepted RL300-series worklist: every finding of",
+        "`repro lint --perf` in the hot set (executor work roots,",
+        "`@picklable_work` and `@hot_path` functions and everything they",
+        "call, stopping at `@batch_kernel`) must appear here or the lint",
+        "gate fails. Entries are keyed by (rule, function, file) — no",
+        "line numbers — so routine edits do not invalidate the inventory,",
+        "and each count is a ceiling. Shrink this file by vectorizing an",
+        "entry and marking the result `@batch_kernel`; never grow it",
+        "without a review. Measured per-layer time comes from",
+        "`benchmarks/e2e/run_e2e.py --trace 1`, not from this list.",
         "",
         "Regenerate after intentional changes with:",
         "",
-        "    repro lint src tools --perf \\",
-        f"        --profile-report {report_path} \\",
-        "        --write-perf-baseline docs/PERF_LINT_BASELINE.md",
-        "",
-        f"Profile report: `{report_path}`. Hot threshold: share >= "
-        f"{min_hot_fraction:.1%} (`--min-hot-fraction "
-        f"{min_hot_fraction}`). Shares are upper bounds: a span's self",
-        "time is attributed to every function reachable from its site,",
-        "so sibling entries overlap and do not sum to 100%.",
-        "",
-        "## Hot findings (ranked by measured share)",
+        "    repro lint src tools --perf --write-perf-baseline "
+        f"{BASELINE_PATH}",
         "",
     ]
-    if hot_rows:
-        lines.append(
-            "| rank | share | rule | name | function | file | findings |"
-        )
-        lines.append(
-            "|------|-------|------|------|----------|------|----------|"
-        )
-        for rank, (share, rule, qualname, path, count) in enumerate(
-            hot_rows, start=1
-        ):
-            lines.append(
-                f"| {rank} | {share:.1%} | {rule} | {PERF_RULES[rule]} | "
-                f"`{qualname}` | {path} | {count} |"
-            )
-    else:
-        lines.append("(none)")
-    lines += [
-        "",
-        "## Cold findings (below threshold; informational, never gate)",
-        "",
-    ]
-    if cold_rows:
+    if counts:
         lines.append("| rule | name | function | file | findings |")
         lines.append("|------|------|----------|------|----------|")
-        for rule, qualname, path, count in cold_rows:
+        for (rule, qualname, path), count in sorted(counts.items()):
             lines.append(
                 f"| {rule} | {PERF_RULES[rule]} | `{qualname}` | {path} | "
                 f"{count} |"
@@ -928,45 +828,21 @@ def render_baseline(
     return "\n".join(lines)
 
 
-_BASELINE_ROW = re.compile(r"^\|.*\bRL3\d\d\b.*\|$")
+_BASELINE_ROW = re.compile(
+    r"^\| (RL3\d\d) \| [\w-]+ \| `([^`]+)` \| (\S+\.py) \| (\d+) \|$"
+)
 
 
 def parse_baseline(text: str) -> Dict[Tuple[str, str, str], int]:
-    """Inventory keys -> accepted counts, from a baseline document.
-
-    Only the hot table counts: a cold row must not pre-absorb the
-    finding if its function later turns hot — that regression should
-    fail the gate until the inventory is regenerated deliberately.
-    """
+    """Inventory keys -> accepted counts, from a baseline document."""
     inventory: Dict[Tuple[str, str, str], int] = {}
     for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("## Cold findings"):
-            break
-        if not _BASELINE_ROW.match(line):
+        match = _BASELINE_ROW.match(line.strip())
+        if match is None:
             continue
-        cells = [cell.strip() for cell in line.split("|")[1:-1]]
-        rule = next(
-            (c for c in cells if re.fullmatch(r"RL3\d\d", c)), None
-        )
-        qualname = next(
-            (
-                c.strip("`")
-                for c in cells
-                if ":" in c and not c.startswith("RL")
-            ),
-            None,
-        )
-        path = next((c for c in cells if c.endswith(".py")), None)
-        count: Optional[int] = None
-        for cell in reversed(cells):
-            if cell.isdigit():
-                count = int(cell)
-                break
-        if rule is None or qualname is None or path is None or count is None:
-            continue
+        rule, qualname, path, count = match.groups()
         key = (rule, qualname, path)
-        inventory[key] = inventory.get(key, 0) + count
+        inventory[key] = inventory.get(key, 0) + int(count)
     return inventory
 
 
@@ -974,9 +850,9 @@ def demote_inventoried(
     perf_findings: Sequence[PerfFinding],
     inventory: Dict[Tuple[str, str, str], int],
 ) -> List[PerfFinding]:
-    """Demote hot findings covered by the committed inventory to warnings.
+    """Demote findings covered by the committed inventory to warnings.
 
-    Consumes inventory counts in ranking order: if code *grows* more hot
+    Consumes inventory counts in finding order: if code *grows* more
     findings than the inventory accepts for a key, the excess stays an
     error and the gate fails — the baseline is a ceiling, not a blanket.
     """
@@ -984,21 +860,14 @@ def demote_inventoried(
     out: List[PerfFinding] = []
     for pf in perf_findings:
         key = (pf.finding.rule, pf.qualname, pf.finding.path)
-        if pf.hot and remaining.get(key, 0) > 0:
+        if remaining.get(key, 0) > 0:
             remaining[key] -= 1
             demoted = dataclasses.replace(
                 pf.finding,
                 message=pf.finding.message + " (inventoried)",
                 severity=Severity.WARNING,
             )
-            out.append(
-                PerfFinding(
-                    finding=demoted,
-                    qualname=pf.qualname,
-                    share=pf.share,
-                    hot=pf.hot,
-                )
-            )
+            out.append(PerfFinding(demoted, pf.qualname))
         else:
             out.append(pf)
     return out
