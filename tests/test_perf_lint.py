@@ -89,8 +89,10 @@ class TestViolationFixtures:
                 assert pf.finding.severity is Severity.ERROR, fixture.name
 
 
-class TestSeverity:
-    def test_hot_set_finding_is_error(self):
+class TestSeverityAndRanking:
+    def test_hot_finding_is_error_with_share_suffix(self):
+        # A hot-set finding is an error; its message ends with the
+        # rule's own text, with no measured-share suffix appended.
         found = perf_findings(HOT_SOURCE)
         assert len(found) == 1
         pf = found[0]
@@ -98,6 +100,31 @@ class TestSeverity:
         assert pf.qualname == "module:total_cost"
         assert pf.finding.severity is Severity.ERROR
         assert pf.finding.message.endswith("once vectorized")
+
+    def test_without_profile_no_share_suffix(self):
+        found = perf_findings(HOT_SOURCE)
+        assert len(found) == 1
+        assert "[hot" not in found[0].finding.message
+        assert "[cold" not in found[0].finding.message
+        assert found[0].finding.severity is Severity.ERROR
+
+    def test_findings_ranked_by_location(self):
+        source = HOT_SOURCE + """
+
+    @hot_path
+    def again(values):
+        total = 0
+        for value in values:
+            total = total + unit_cost(value)
+        return total
+"""
+        found = perf_findings(source)
+        assert [pf.qualname for pf in found] == [
+            "module:total_cost",
+            "module:again",
+        ]
+        lines = [pf.finding.line for pf in found]
+        assert lines == sorted(lines)
 
     def test_code_outside_the_hot_set_is_not_scanned(self):
         assert perf_findings(HOT_SOURCE.replace("@hot_path", "")) == []
