@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro.blocking import mfiblocks
+from repro.classify import training
 from repro.datagen import build_corpus
 from repro.evaluation import GoldStandard
 from repro.geo import GeoPoint
@@ -15,6 +19,29 @@ from repro.records.schema import (
     SourceRef,
     VictimRecord,
 )
+
+
+@contextlib.contextmanager
+def scoring_dispatch_floor(pairs=1):
+    """Dispatch every scored pair list of at least ``pairs`` pairs.
+
+    Lowers ``MIN_DISPATCH_PAIRS`` (512 in production) where the two
+    scoring dispatches read it, ``mfiblocks.score_pairs`` and
+    ``classify.score_pairs``, so a test corpus far below the production
+    floor still sends its scoring through a parallel executor's pool.
+    Where the work runs never changes the ranked bytes.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mfiblocks, "MIN_DISPATCH_PAIRS", pairs)
+        patch.setattr(training, "MIN_DISPATCH_PAIRS", pairs)
+        yield
+
+
+@pytest.fixture
+def dispatch_small_scoring():
+    """:func:`scoring_dispatch_floor` for the duration of one test."""
+    with scoring_dispatch_floor():
+        yield
 
 
 def make_record(

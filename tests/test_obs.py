@@ -537,6 +537,7 @@ class TestCliObservability:
         output = capsys.readouterr().out
         assert "no parallel profile recorded" in output
 
+    @pytest.mark.usefixtures("dispatch_small_scoring")
     def test_profile_timeline_parallel_prints_lanes(self, corpus_path,
                                                     capsys):
         assert cli_main([

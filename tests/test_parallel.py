@@ -288,6 +288,7 @@ class TestResolutionParity:
             for persons, dataset in corpora.items()
         }
 
+    @pytest.mark.usefixtures("dispatch_small_scoring")
     @pytest.mark.parametrize("persons", [24, 48])
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("chunk_size", [None, 5])
@@ -316,6 +317,7 @@ class TestResolutionParity:
                 pairs, executor=MultiprocessExecutor(workers)
             ) == serial
 
+    @pytest.mark.usefixtures("dispatch_small_scoring")
     def test_worker_crash_resolution_parity(
         self, corpora, serial_csv, tmp_path
     ):
@@ -386,6 +388,7 @@ class TestCrossCuttingParity:
         )
         assert parallel == serial
 
+    @pytest.mark.usefixtures("dispatch_small_scoring")
     def test_report_carries_parallel_block(self, corpus):
         tracer = Tracer()
         executor = make_executor(2)

@@ -463,12 +463,14 @@ class TestChaosScenarios:
         oracle, variants = SCENARIOS[name](self.PERSONS, seed, workdir)
         return run_gate(name, oracle, variants, workdir)
 
+    @pytest.mark.usefixtures("dispatch_small_scoring")
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_holds(self, tmp_path, name):
         result = self.run_scenario(name, 0, tmp_path)
         assert result.runs
         assert result.ok, [run for run in result.runs if not run.ok]
 
+    @pytest.mark.usefixtures("dispatch_small_scoring")
     def test_worker_crash_scenario_retries_and_matches_serial(self, tmp_path):
         """The seed retargets the kill to a later parallel dispatch and
         the invariant still holds: chunks retried, bytes unchanged."""

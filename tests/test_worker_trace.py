@@ -47,6 +47,7 @@ from repro.obs.worker import (
 )
 from repro.parallel import MultiprocessExecutor, make_executor, run_chunk
 from repro.resilience import WorkerCrashPlan
+from tests.conftest import scoring_dispatch_floor
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -77,7 +78,11 @@ def small_corpus():
 
 @pytest.fixture(scope="module")
 def traced_run(small_corpus):
-    """One traced 2-worker pipeline run shared by the profile tests."""
+    """One traced 2-worker pipeline run shared by the profile tests.
+
+    The corpus is below the production dispatch floor, so the floor is
+    lowered for the run: its pair scoring goes through the pool.
+    """
     tracer = Tracer()
     executor = MultiprocessExecutor(2)
     pipeline = UncertainERPipeline(
@@ -85,7 +90,8 @@ def traced_run(small_corpus):
         tracer=tracer,
         executor=executor,
     )
-    resolution = pipeline.run(small_corpus)
+    with scoring_dispatch_floor():
+        resolution = pipeline.run(small_corpus)
     return tracer, executor, resolution
 
 
