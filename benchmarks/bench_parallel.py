@@ -2,8 +2,8 @@
 
 The parallel layer (docs/PARALLELISM.md) promises two things at once:
 ``--workers N`` output is *byte-identical* to ``--workers 1``, and on a
-multi-core box the pairwise-scoring and mining fan-out buys wall-clock
-time. This benchmark measures both on one corpus: it resolves the same
+multi-core box the pairwise-scoring fan-out buys wall-clock time.
+This benchmark measures both on one corpus: it resolves the same
 dataset at 1, 2, and 4 workers, requires identical ranked output, and
 emits a speedup table plus one run report per worker count.
 

@@ -222,8 +222,7 @@ class MFIBlocks(BlockingAlgorithm):
         transactions = [item_bags[rid] for rid in uncovered]
         with tracer.span("mfiblocks.mine", minsup=minsup):
             mfis = maximal_frequent_itemsets(
-                transactions, minsup, tracer=tracer, budget=meter,
-                executor=self.executor,
+                transactions, minsup, tracer=tracer, budget=meter
             )
         tracer.count("mfiblocks.mfis_mined", len(mfis))
         if not mfis:

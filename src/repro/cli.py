@@ -261,7 +261,7 @@ def _add_parallel_arguments(command: argparse.ArgumentParser) -> None:
     """The parallel-execution knobs shared by ``resolve`` and ``profile``."""
     command.add_argument(
         "--workers", type=int, default=1,
-        help="parallel worker processes for scoring and mining "
+        help="parallel worker processes for pair scoring "
              "(default: 1 = serial; output is byte-identical at any "
              "worker count)")
     command.add_argument(

@@ -41,17 +41,9 @@ from typing import (
     TypeVar,
 )
 
-from repro.contracts import (
-    commutative_merge,
-    fork_safe,
-    hot_path,
-    ordered_output,
-    picklable_work,
-    pure,
-)
+from repro.contracts import hot_path, ordered_output, pure
 from repro.mining.fptree import FPTree
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.executor import Executor
 from repro.resilience.budgets import BudgetMeter
 
 __all__ = [
@@ -59,7 +51,6 @@ __all__ = [
     "frequent_itemsets",
     "maximal_frequent_itemsets",
     "maximal_via_filter",
-    "merge_mfi_candidates",
 ]
 
 T = TypeVar("T", bound=Hashable)
@@ -220,16 +211,15 @@ def maximal_frequent_itemsets(
     minsup: int,
     tracer: Optional[Tracer] = None,
     budget: Optional[BudgetMeter] = None,
-    executor: Optional[Executor] = None,
 ) -> List[Itemset[T]]:
     """Mine maximal frequent itemsets (FPMax).
 
     Returns MFIs as :class:`Itemset` values; the support reported is the
     support of the maximal set itself. An optional tracer times tree
     construction vs. the FPMax recursion and gauges the tree size —
-    Fig. 12's dominant cost, broken down — and, on the serial path,
-    counts the conditional trees built against the heads pruned before
-    a build (``fpgrowth.trees_built`` / ``fpgrowth.heads_pruned``).
+    Fig. 12's dominant cost, broken down — and counts the conditional
+    trees built against the heads pruned before a build
+    (``fpgrowth.trees_built`` / ``fpgrowth.heads_pruned``).
 
     ``budget`` bounds the FPMax recursion: each node expansion charges
     one unit, and an exhausted meter stops the search, returning the
@@ -238,23 +228,14 @@ def maximal_frequent_itemsets(
     iteration-only budget the cut point — and therefore the output —
     is deterministic.
 
-    ``executor`` (when parallel) shards the FPMax top level across
-    workers by item id; the shard union, maximality-pruned, is exactly
-    the serial MFI set with the same supports
-    (``docs/PARALLELISM.md``). A budgeted mine always runs serially:
-    the budget's deterministic cut point is defined by the serial visit
-    order, which sharding would not preserve.
+    Mining is serial under every executor. The paper parallelizes
+    support finding and block construction, not the FPMax search;
+    ``docs/PARALLELISM.md`` gives the measurement behind the choice.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     materialized = [list(transaction) for transaction in transactions]
     _validate(materialized, minsup)
     tracer.count("fpgrowth.transactions", len(materialized))
-    if (
-        executor is not None
-        and executor.parallel
-        and (budget is None or not budget.enabled)
-    ):
-        return _maximal_parallel(materialized, minsup, executor, tracer)
     with tracer.span("fpgrowth.build_tree", minsup=minsup):
         tree, vocabulary = _build_tree(materialized, minsup)
     tracer.gauge("fpgrowth.tree_nodes", tree.node_count())
@@ -279,15 +260,8 @@ def _fpmax(
     minsup: int,
     store: _MFIStore,
     budget: Optional[BudgetMeter] = None,
-    only: Optional[AbstractSet[int]] = None,
 ) -> None:
-    """FPMax recursion; ``only`` restricts the top-level items (a shard).
-
-    ``only`` applies at this depth alone — recursive calls see every
-    item. A single-path tree emits its one candidate only from the
-    shard owning the path's highest id, the shard whose top-level loop
-    would have generated it.
-    """
+    """FPMax recursion: add the MFIs of ``tree`` under ``suffix``."""
     if tree.is_empty():
         return
     if budget is not None:
@@ -296,8 +270,6 @@ def _fpmax(
         budget.charge()
     single = tree.single_path()
     if single is not None:
-        if only is not None and single[-1][0] not in only:
-            return
         candidate = frozenset(suffix) | {item for item, _ in single}
         if not store.is_subsumed(candidate):
             support = single[-1][1]
@@ -306,8 +278,6 @@ def _fpmax(
     # Least-frequent items first so long candidates are found early and
     # subsume the rest.
     for item in sorted(tree.items(), reverse=True):
-        if only is not None and item not in only:
-            continue
         support = tree.support_of(item)
         if support < minsup:
             continue
@@ -332,105 +302,6 @@ def _fpmax(
         _fpmax(conditional, new_suffix, minsup, store, budget)
         if budget is not None and budget.degraded:
             return
-
-
-# ---------------------------------------------------------------------------
-# Sharded FPMax (parallel path)
-# ---------------------------------------------------------------------------
-#
-# Correctness sketch (full argument in docs/PARALLELISM.md): FPMax
-# processes top-level items least-frequent-first, and every candidate it
-# emits while processing top item *i* contains *i* as its highest id.
-# Sharding the top-level items therefore partitions the candidate space:
-# each itemset's generating shard is uniquely determined by its max id,
-# so shard-local mining finds every serial candidate exactly once, with
-# its true support (supports come from the full tree, which every worker
-# rebuilds from the complete encoded transaction list). Shard-local
-# subsumption pruning is *weaker* than serial pruning — a shard cannot
-# see another shard's supersets — which only ever leaves extra
-# non-maximal candidates behind; the global merge removes exactly those.
-
-
-@picklable_work
-@fork_safe
-def _mine_shard(
-    payload: Tuple[List[List[int]], int, List[int]]
-) -> List[Tuple[FrozenSet[int], int]]:
-    """FPMax over the top-level items of one shard (pool-worker body).
-
-    Rebuilds the FP-tree from the encoded transactions — cheaper and
-    simpler than pickling a node graph with parent links — then runs
-    :func:`_fpmax` restricted to the shard's item ids at the top level.
-    Module-level and argument-determined, so a chunk computes the same
-    result in a worker, in-process, or in a crash retry.
-    """
-    encoded, minsup, shard = payload
-    tree = FPTree()
-    for transaction in encoded:
-        tree.insert(transaction)
-    store = _MFIStore()
-    _fpmax(tree, [], minsup, store, only=frozenset(shard))
-    return store.itemsets
-
-
-@commutative_merge
-@ordered_output
-def merge_mfi_candidates(
-    shard_results: Iterable[List[Tuple[FrozenSet[int], int]]]
-) -> List[Tuple[FrozenSet[int], int]]:
-    """Globally maximality-prune shard-local MFI candidates.
-
-    Order-independent: candidates are deduplicated and visited in
-    canonical order (longest first, ties by sorted item ids), so any
-    permutation of ``shard_results`` yields the same list. Longer sets
-    are inserted before anything they could subsume, and equal-length
-    distinct sets can never subsume each other, so one pass suffices.
-    """
-    unique = {
-        candidate for result in shard_results for candidate in result
-    }
-    ordered = sorted(
-        unique, key=lambda entry: (-len(entry[0]), sorted(entry[0]))
-    )
-    store = _MFIStore()
-    for items, support in ordered:
-        if not store.is_subsumed(items):
-            store.add(items, support)
-    return store.itemsets
-
-
-def _maximal_parallel(
-    materialized: List[List[T]],
-    minsup: int,
-    executor: Executor,
-    tracer: Tracer,
-) -> List[Itemset[T]]:
-    """Shard the FPMax top level across the executor's workers."""
-    vocabulary: _Vocabulary[T] = _Vocabulary(materialized, minsup)
-    n_items = len(vocabulary.value_of)
-    tracer.gauge("fpgrowth.vocabulary", n_items)
-    if n_items == 0:
-        return []
-    encoded: List[List[int]] = []
-    for transaction in materialized:
-        ids = vocabulary.encode(transaction)
-        if ids:
-            encoded.append(ids)
-    # Round-robin over item ids: ids are support-ordered, so each shard
-    # gets a comparable mix of frequent (cheap) and rare (deep) items.
-    n_shards = min(executor.workers, n_items)
-    shards = [
-        [item for item in range(n_items) if item % n_shards == index]
-        for index in range(n_shards)
-    ]
-    payloads = [(encoded, minsup, shard) for shard in shards]
-    with tracer.span("fpgrowth.fpmax", minsup=minsup, shards=n_shards):
-        shard_results = executor.map_chunks(
-            _mine_shard, payloads, tracer=tracer, label="fpgrowth.shards"
-        )
-        merged = merge_mfi_candidates(shard_results)
-    tracer.count("fpgrowth.mfis", len(merged))
-    return [Itemset(vocabulary.decode(ids), support) for ids, support in merged]
 
 
 @ordered_output

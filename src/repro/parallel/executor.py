@@ -1,7 +1,7 @@
 """Executors: serial and process-pool dispatch of chunked work.
 
-The pipeline's hot paths (pairwise scoring, FPMax mining, classifier
-ranking) are embarrassingly parallel; what they must never be is
+The pipeline's dispatched hot paths (pairwise block scoring and
+classifier ranking) are embarrassingly parallel; what they must never be is
 *schedule-dependent*. The contract here is determinism **by merge, not
 by schedule** (``docs/PARALLELISM.md``):
 

@@ -28,7 +28,7 @@ Ownership (reprolint RL204): the handle owns the segments — its
 ``close()`` both ``close()``\\ s and ``unlink()``\\ s every one, after
 rebinding the corpus to private copies of the arrays so no live view
 dangles into a freed buffer. Handles are context managers; the
-mining/classify callers publish in a ``with`` block (or
+blocking/classify callers publish in a ``with`` block (or
 ``try/finally``) around dispatch.
 
 Workers treat the registry as frozen: work functions that read it are

@@ -265,6 +265,11 @@ def _worker_crash(persons: int, seed: int, workdir: Path) -> Build:
     # so the plan is guaranteed to arm.
     probe = AdversarialScheduleExecutor(2, schedule_seed=seed)
     UncertainERPipeline(config, executor=probe).run(dataset)
+    require(
+        probe.stats.map_calls > 0,
+        f"no parallel dispatch ran at {persons} persons: every pair list "
+        "was scored inline, so there is no worker to kill",
+    )
     plan = WorkerCrashPlan(map_call=seed % probe.stats.map_calls, chunk=0)
 
     def survived(workdir: Path) -> str:

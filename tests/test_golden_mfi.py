@@ -5,9 +5,8 @@ discovery order — that ``maximal_frequent_itemsets`` returned when the
 fixtures were last regenerated (see ``tools/golden_mfi.py``): a seeded
 corpus of about 300 records unpruned and pruned at minsup 5..2, the same
 corpus under iteration budgets that cut the search part-way, and the
-sha256 of the ``italy_samesrc`` workload's first-level mine. The serial
-miner must reproduce each list exactly; the sharded miner's order comes
-from ``merge_mfi_candidates``, so it is compared as a set.
+sha256 of the ``italy_samesrc`` workload's first-level mine. The miner
+runs serially under every executor and must reproduce each list exactly.
 
 Intentional changes regenerate with::
 
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel.executor import MultiprocessExecutor
 from tools.golden_mfi import (
     CASES,
     FIXTURE_DIR,
@@ -33,7 +31,6 @@ from tools.golden_mfi import (
     vocabulary,
 )
 
-UNBUDGETED = [name for name, (_m, _p, budget) in CASES.items() if budget is None]
 BUDGETED = [name for name, (_m, _p, budget) in CASES.items() if budget is not None]
 
 
@@ -46,13 +43,6 @@ def item_bags():
 def ids(item_bags):
     names = vocabulary(item_bags)
     return {name: index for index, name in enumerate(names)}
-
-
-@pytest.fixture(scope="module")
-def executor():
-    pool = MultiprocessExecutor(2)
-    yield pool
-    pool.close()
 
 
 class TestFixtureShape:
@@ -84,16 +74,6 @@ class TestGoldenMFIs:
     @pytest.mark.parametrize("name", list(CASES))
     def test_serial_matches_fixture_in_order(self, item_bags, ids, name):
         assert mine_case(item_bags, name, ids) == load_case(name)
-
-    @pytest.mark.parametrize("name", UNBUDGETED)
-    def test_sharded_matches_fixture_as_set(self, item_bags, ids, executor, name):
-        got = mine_case(item_bags, name, ids, executor=executor)
-        assert len(got) == len(set(got))
-        assert set(got) == set(load_case(name))
-
-    @pytest.mark.parametrize("name", BUDGETED)
-    def test_budgeted_mine_stays_serial(self, item_bags, ids, executor, name):
-        assert mine_case(item_bags, name, ids, executor=executor) == load_case(name)
 
     def test_italy_samesrc_digest(self):
         count, digest = load_italy_digest()

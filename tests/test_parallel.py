@@ -410,6 +410,28 @@ class TestCrossCuttingParity:
             report.parallel
         )
 
+    def test_miner_counters_ignore_the_executor(self, corpus):
+        """Mining is serial under every executor: a 2-worker traced run
+        reports the serial run's FP-growth counters and tree gauge."""
+        counters = (
+            "fpgrowth.trees_built", "fpgrowth.heads_pruned",
+            "fpgrowth.mfis", "fpgrowth.transactions",
+        )
+        readings = []
+        for executor in (SerialExecutor(), make_executor(2)):
+            tracer = Tracer()
+            report = UncertainERPipeline(
+                PipelineConfig(**CONFIG), tracer=tracer, executor=executor
+            ).run(corpus).report
+            tracer.close()
+            readings.append((
+                {name: report.counters.get(name) for name in counters},
+                report.gauges.get("fpgrowth.tree_nodes"),
+            ))
+        serial, parallel = readings
+        assert None not in serial[0].values() and serial[1] is not None
+        assert parallel == serial
+
     def test_serial_report_echoes_one_worker(self, corpus):
         tracer = Tracer()
         resolution = UncertainERPipeline(

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from repro.blocking.scoring import BlockScorer, SparseNeighborhoodFilter, neighborhood_cap
 from repro.core.resolution import PairEvidence, ResolutionResult, connected_components
-from repro.mining.fpgrowth import (
-    _mine_shard,
-    _Vocabulary,
-    maximal_frequent_itemsets,
-    merge_mfi_candidates,
-)
+from repro.mining.fpgrowth import maximal_frequent_itemsets
 from repro.parallel import (
     fixed_chunks,
     max_merge_into,
@@ -225,73 +220,3 @@ class TestMergeInvariants:
         for chunk in _shuffled(chunks, seed):
             assert max_merge_into(incremental, chunk) is incremental
         assert incremental == one_call
-
-
-mfi_shards = st.lists(
-    st.lists(
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=5),
-        max_size=6,
-    ),
-    max_size=4,
-)
-
-
-class TestShardedMiningInvariants:
-    @staticmethod
-    def _with_supports(shards):
-        # Support must be a function of the itemset (as it is in real
-        # mining, where every shard scores against the full tree).
-        return [
-            [(items, len(items) + min(items)) for items in shard]
-            for shard in shards
-        ]
-
-    @settings(max_examples=60, deadline=None)
-    @given(mfi_shards, seeds)
-    def test_merge_mfi_candidates_is_permutation_invariant(
-        self, shards, seed
-    ):
-        candidates = self._with_supports(shards)
-        merged = merge_mfi_candidates(candidates)
-        assert merge_mfi_candidates(_shuffled(candidates, seed)) == merged
-
-    @settings(max_examples=60, deadline=None)
-    @given(mfi_shards)
-    def test_merge_mfi_candidates_keeps_exactly_the_maximal(self, shards):
-        candidates = self._with_supports(shards)
-        merged = merge_mfi_candidates(candidates)
-        kept = {items for items, _ in merged}
-        everything = {
-            entry for shard in candidates for entry in shard
-        }
-        # Output is an antichain...
-        for a in kept:
-            for b in kept:
-                assert a == b or not a < b
-        # ...and every input survives or is strictly subsumed.
-        for items, support in everything:
-            assert items in kept or any(items < other for other in kept)
-
-    @settings(max_examples=40, deadline=None)
-    @given(transactions, st.integers(1, 4), st.integers(1, 4))
-    def test_sharded_fpmax_equals_serial(self, txns, minsup, n_shards_max):
-        serial = {
-            (mined.items, mined.support)
-            for mined in maximal_frequent_itemsets(txns, minsup)
-        }
-        vocabulary = _Vocabulary([list(t) for t in txns], minsup)
-        n_items = len(vocabulary.value_of)
-        encoded = [e for e in (vocabulary.encode(t) for t in txns) if e]
-        n_shards = max(1, min(n_shards_max, n_items))
-        shard_results = [
-            _mine_shard((
-                encoded, minsup,
-                [i for i in range(n_items) if i % n_shards == index],
-            ))
-            for index in range(n_shards)
-        ]
-        merged = merge_mfi_candidates(shard_results)
-        sharded = {
-            (vocabulary.decode(ids), support) for ids, support in merged
-        }
-        assert sharded == serial

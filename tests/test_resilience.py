@@ -480,6 +480,23 @@ class TestChaosScenarios:
             ("worker killed at dispatch 1", "identical")
         ]
 
+    def test_worker_crash_without_a_dispatch_fails_by_name(
+        self, tmp_path, capsys
+    ):
+        """At the production dispatch floor this corpus scores every
+        pair list inline: the scenario fails naming why, not with a
+        ZeroDivisionError."""
+        assert chaos.main([
+            "--scenario", "worker-crash", "--persons", str(self.PERSONS),
+            "--artifacts-dir", str(tmp_path / "artifacts"),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "worker-crash-seed0: FAILED" in out
+        assert (
+            f"GateFailure: no parallel dispatch ran at {self.PERSONS} "
+            "persons" in out
+        )
+
     def test_run_chaos_keeps_artifacts_dir(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"
         assert chaos.main([

@@ -21,7 +21,6 @@ from repro.parallel import (
 )
 from repro.sanitize import (
     EXPERTSIM_DISPATCH,
-    EXPERTSIM_SUFFIX,
     SCORING_DISPATCHES,
     Cell,
     build_parser,
@@ -247,10 +246,8 @@ class TestEndToEnd:
         assert len(classified.runs) == 1
         assert len(expertsim.runs) == 1
         # Every scoring merge really ran in a hostile order — the
-        # ExpertSim pair-table fill included. Mining shards, where the
-        # miner still dispatches, are not what this test relies on.
-        mining = {"fpgrowth.shards", "fpgrowth.shards" + EXPERTSIM_SUFFIX}
-        assert shuffled - mining == {*SCORING_DISPATCHES, EXPERTSIM_DISPATCH}
+        # ExpertSim pair-table fill included.
+        assert shuffled == {*SCORING_DISPATCHES, EXPERTSIM_DISPATCH}
 
     def test_tiny_corpus_never_shuffles_scoring(self, tmp_path):
         config = GateConfig(persons=16, seeds=(1,), workers=(2,))

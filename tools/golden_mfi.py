@@ -94,7 +94,6 @@ def mine_case(
     item_bags: Dict[int, FrozenSet[object]],
     name: str,
     ids: Dict[str, int],
-    executor=None,
 ) -> List[Row]:
     """One case's MFIs as rows, in the order the miner returned them."""
     from repro.mining.fpgrowth import maximal_frequent_itemsets
@@ -105,10 +104,7 @@ def mine_case(
     if max_iterations is not None:
         budget = BudgetMeter(StageBudget(max_iterations=max_iterations))
     mfis = maximal_frequent_itemsets(
-        case_transactions(item_bags, pruned),
-        minsup,
-        budget=budget,
-        executor=executor,
+        case_transactions(item_bags, pruned), minsup, budget=budget
     )
     return [
         (tuple(sorted(ids[str(item)] for item in mfi.items)), mfi.support)
