@@ -228,9 +228,10 @@ def maximal_frequent_itemsets(
     iteration-only budget the cut point — and therefore the output —
     is deterministic.
 
-    Mining is serial under every executor. The paper parallelizes
-    support finding and block construction, not the FPMax search;
-    ``docs/PARALLELISM.md`` gives the measurement behind the choice.
+    The search always runs serially in the caller's process, whatever
+    executor the pipeline holds: the paper parallelizes support finding
+    and block construction, not FPMax, and ``docs/PARALLELISM.md``
+    gives the measurement behind keeping it serial.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     materialized = [list(transaction) for transaction in transactions]

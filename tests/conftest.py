@@ -22,18 +22,18 @@ from repro.records.schema import (
 
 
 @contextlib.contextmanager
-def scoring_dispatch_floor(pairs=1):
-    """Dispatch every scored pair list of at least ``pairs`` pairs.
+def scoring_dispatch_floor():
+    """Dispatch every non-empty scored pair list.
 
-    Lowers ``MIN_DISPATCH_PAIRS`` (512 in production) where the two
+    Lowers ``MIN_DISPATCH_PAIRS`` (512 in production) to 1 where the two
     scoring dispatches read it, ``mfiblocks.score_pairs`` and
     ``classify.score_pairs``, so a test corpus far below the production
     floor still sends its scoring through a parallel executor's pool.
     Where the work runs never changes the ranked bytes.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mfiblocks, "MIN_DISPATCH_PAIRS", pairs)
-        patch.setattr(training, "MIN_DISPATCH_PAIRS", pairs)
+        patch.setattr(mfiblocks, "MIN_DISPATCH_PAIRS", 1)
+        patch.setattr(training, "MIN_DISPATCH_PAIRS", 1)
         yield
 
 
