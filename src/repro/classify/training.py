@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import (
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -38,6 +39,7 @@ from repro.parallel.merge import merge_scored_chunks
 from repro.parallel.shared import publish_shared_state
 from repro.parallel.work import classify_pair_chunk
 from repro.records.dataset import Dataset
+from repro.records.itembag import Item
 from repro.records.schema import VictimRecord
 from repro.similarity.features import (
     FeatureMatrix,
@@ -219,6 +221,7 @@ class PairClassifier:
         self,
         pairs: Sequence[Pair],
         records: Optional[Mapping[int, VictimRecord]] = None,
+        item_bags: Optional[Mapping[int, FrozenSet[Item]]] = None,
     ) -> List[float]:
         """ADTree confidence per pair, in order (positive leans match).
 
@@ -226,14 +229,18 @@ class PairClassifier:
         of the fitted matrix and the rest come from one batch extractor
         call. ``records`` resolves ids that are not in the training
         dataset (streaming ingestion passes the live store plus its
-        staged batch); every pair is then extracted fresh. A row's score
-        does not depend on the other rows, so both routes give the same
-        floats as extracting every pair.
+        staged batch, with the item bags it already holds as
+        ``item_bags``); every pair is then extracted fresh. A row's
+        score does not depend on the other rows, so both routes give the
+        same floats as extracting every pair.
         """
         model = self._require_model()
         if records is not None:
             return model.score_matrix(
-                extract_features_batch(records, pairs, names=self.feature_names)
+                extract_features_batch(
+                    records, pairs, names=self.feature_names,
+                    item_bags=item_bags,
+                )
             ).tolist()
         rows = self._training_rows
         missing = [pair for pair in pairs if pair not in rows]

@@ -208,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "as the original run), then continue "
                              "ingesting")
     ingest.add_argument("--no-fsync", action="store_true",
-                        help="skip per-append fsync (benchmarking only; "
-                             "a crash may lose acknowledged batches)")
+                        help="skip the per-batch commit fsync (benchmarking "
+                             "only; a power loss may lose acknowledged "
+                             "batches)")
     ingest.add_argument("--max-minsup", type=int, default=5)
     ingest.add_argument("--ng", type=float, default=3.5)
     ingest.add_argument("--expert-weighting", action="store_true")

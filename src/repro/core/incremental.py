@@ -31,15 +31,18 @@ Streaming ingestion goes through :meth:`IncrementalResolver.add_records`
   Probabilistic Signatures", PAPERS.md);
 * **durability** (optional): with a
   :class:`~repro.resilience.wal.WriteAheadLog` attached, every batch is
-  logged begin → apply → commit; :meth:`IncrementalResolver.recover`
-  replays the committed prefix to a byte-identical resolution and
-  reports what a crash dropped.
+  logged begin → apply → commit (one fsync, on the commit);
+  :meth:`IncrementalResolver.recover` replays the committed prefix to a
+  byte-identical resolution and reports what a crash dropped.
 
 Batching is semantics-free by construction: records inside a batch are
 scored in input order against the store *plus* the earlier records of
 the same batch (a staged overlay), so ``add_records(batch)`` produces
 exactly the state of the equivalent sequence of :meth:`add_record`
-calls — the property the WAL replay and the chaos scenarios pin.
+calls — the property the chaos scenarios pin, and the one that lets
+recovery replay the whole committed log as a single batch. Each record's
+item bag is derived once, when it is staged; the classifier's feature
+extraction reads the staged and stored bags instead of re-deriving them.
 """
 
 from __future__ import annotations
@@ -163,7 +166,6 @@ class IncrementalResolver:
 
         self.wal = wal
         self._replayed_batches = 0
-        self._replayed_records = 0
         if wal is not None:
             wal.ensure_base(self._base_fingerprint(dataset))
             if wal.committed_batches() and not _allow_wal_history:
@@ -291,11 +293,15 @@ class IncrementalResolver:
         echo — PR 4's checkpoint identity rule); a mismatch raises
         :class:`~repro.resilience.wal.WalError` instead of replaying
         into the wrong corpus. Opening the log truncates torn tails and
-        uncommitted begins; the surviving committed batches are then
-        replayed through the exact scoring path that produced them, so
-        the recovered ranked output is byte-identical to the
-        uninterrupted run's. The report says what was dropped — a
-        recovery that loses work must never look like one that didn't.
+        uncommitted begins. The surviving committed batches are then
+        replayed as one batch of all their records, in log order,
+        through the scoring path that produced them: one
+        :meth:`_apply_batch`, so one feature extraction and one
+        classifier call cover the whole log. Batching is
+        semantics-free, so the recovered ranked output is
+        byte-identical to the uninterrupted run's. The report says what
+        was dropped — a recovery that loses work must never look like
+        one that didn't.
         """
         wal = WriteAheadLog(wal_dir, fsync=fsync)
         resolver = cls(
@@ -307,17 +313,19 @@ class IncrementalResolver:
             wal=wal,
             _allow_wal_history=True,
         )
-        replayed_records = 0
-        for batch in wal.committed_batches():
-            records = [record_from_dict(dict(entry)) for entry in batch.records]
-            resolver._apply_batch(batch.batch_id, records)
-            replayed_records += len(records)
+        committed = wal.committed_batches()
+        records = [
+            record_from_dict(dict(entry))
+            for batch in committed
+            for entry in batch.records
+        ]
+        if records:
+            resolver._apply_batch(committed[-1].batch_id, records)
         resolver._next_batch_id = wal.next_batch_id
-        resolver._replayed_batches = len(wal.committed_batches())
-        resolver._replayed_records = replayed_records
+        resolver._replayed_batches = len(committed)
         report = RecoveryReport(
             batches_replayed=resolver._replayed_batches,
-            records_replayed=replayed_records,
+            records_replayed=len(records),
             dropped_batches=tuple(wal.recovery.uncommitted_batches),
             dropped_records=wal.recovery.uncommitted_records,
             torn_tail_bytes=wal.recovery.torn_tail_bytes,
@@ -348,8 +356,9 @@ class IncrementalResolver:
         every surviving candidate of the batch in one call. Only after
         that does the commit loop mutate the resolver, so a scoring
         failure anywhere aborts the batch with the store untouched —
-        the in-memory half of atomic-at-the-batch. This replays
-        committed WAL batches too, hence no WAL writes here.
+        the in-memory half of atomic-at-the-batch. Recovery replays the
+        whole committed log through it as one batch, hence no WAL
+        writes here.
         """
         staged_records: Dict[int, VictimRecord] = {}
         staged_bags: Dict[int, FrozenSet[Item]] = {}
@@ -372,7 +381,9 @@ class IncrementalResolver:
             for item in items:
                 staged_index.setdefault(item, set()).add(record.book_id)
         produced_all = self._classify(
-            scored, ChainMap(staged_records, self._records)
+            scored,
+            ChainMap(staged_records, self._records),
+            ChainMap(staged_bags, self._item_bags),
         )
 
         for record in accepted:
@@ -454,17 +465,19 @@ class IncrementalResolver:
         self,
         scored: Sequence[Tuple[Pair, PairEvidence]],
         records: Mapping[int, VictimRecord],
+        item_bags: Mapping[int, FrozenSet[Item]],
     ) -> List[PairEvidence]:
         """Attach ADTree confidences and drop rows at or under the threshold.
 
         Without a classifier the rows pass through unchanged. Otherwise
-        one batch call scores them all, in order, with ``records``
-        resolving both the store and the staged batch.
+        one batch call scores them all, in order, with ``records`` and
+        ``item_bags`` resolving both the store and the staged batch, so
+        no record's item bag is derived a second time.
         """
         if self.classifier is None or not self.config.classify:
             return [evidence for _pair, evidence in scored]
         confidences = self.classifier.confidences(
-            [pair for pair, _evidence in scored], records
+            [pair for pair, _evidence in scored], records, item_bags
         )
         threshold = self.config.classifier_threshold
         return [

@@ -15,10 +15,10 @@ The resilience layer has four parts, threaded through the whole system
 * **fault injection** (:mod:`repro.resilience.faults` and the
   ``repro chaos`` CLI, :mod:`repro.resilience.chaos`) — seeded crashes,
   corruption, and truncation so recovery is asserted, not hoped for;
-* **write-ahead log** (:mod:`repro.resilience.wal`) — segment-rotating,
-  fsync'd durability for streaming ingestion: batches are begin/commit
-  logged so a crash mid-batch recovers to the committed prefix,
-  byte-identically.
+* **write-ahead log** (:mod:`repro.resilience.wal`) — segment-rotating
+  durability for streaming ingestion: batches are begin/commit logged,
+  one fsync per batch on the commit, so a crash mid-batch recovers to
+  the committed prefix, byte-identically, replayed as one batch.
 
 ``chaos`` is deliberately not imported here: it drives the full
 pipeline and importing it eagerly would cycle back into

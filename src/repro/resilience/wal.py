@@ -8,11 +8,19 @@ batch in flight, never silently corrupt the live resolution. The
 protocol over an append-only, segment-rotating log:
 
 1. ``begin`` — the full serialized batch (its record dicts) is appended
-   and fsync'd *before* any in-memory state changes;
+   *before* any in-memory state changes (written through to the OS, not
+   fsync'd);
 2. the resolver applies the batch in memory;
 3. ``commit`` — a marker for the same batch id is appended and fsync'd.
+   A batch's ``begin`` and ``commit`` share a segment, so this one fsync
+   makes both lines durable: one fsync per batch.
 
-A batch is durable iff its ``commit`` marker is on disk. Recovery
+A batch is durable iff its ``commit`` marker is on disk. A ``begin``
+that reached the disk without its commit is dropped on recovery like
+any uncommitted begin, and a commit never survives without its begin:
+recovery accepts a commit only right after its own begin in an unbroken
+``seq`` chain, so a begin lost to power failure turns the commit behind
+it into a tear. Recovery
 (:meth:`WriteAheadLog.__init__` scans on open) replays exactly the
 committed prefix and physically truncates everything after the last
 commit: a torn final line (the shape a real crash produces), a ``begin``
@@ -150,7 +158,11 @@ class WalFaultPlan:
             )
 
     def after_append(self, append_index: int) -> None:
-        """Injection point: the WAL just fsync'd append ``append_index``."""
+        """Injection point: the WAL just wrote append ``append_index``.
+
+        The line is flushed to the OS, and fsync'd too when it is a
+        ``commit``: a process crash here keeps it either way.
+        """
         if not self.fired and append_index == self.crash_after_append:
             self.fired = True
             raise SimulatedCrash(f"wal-append-{append_index}")
@@ -212,9 +224,10 @@ class WriteAheadLog:
     lives in :attr:`recovery`. The surviving committed batches are
     available through :meth:`committed_batches` for replay.
 
-    ``fsync=False`` skips the per-append ``os.fsync`` (the streaming
-    benchmark's "without durability" mode): writes still go through the
-    OS, so a *process* crash loses nothing, but a power loss may.
+    ``fsync=False`` skips the per-batch ``os.fsync`` of each ``commit``
+    (the streaming benchmark's "without durability" mode): writes still
+    go through the OS, so a *process* crash loses nothing, but a power
+    loss may.
     """
 
     def __init__(
@@ -296,7 +309,7 @@ class WriteAheadLog:
 
     # -- write path ----------------------------------------------------------
 
-    @impure(reason="fsync-appends a batch-intent entry to the live segment")
+    @impure(reason="appends a batch-intent entry to the live segment")
     def append_begin(
         self, batch_id: int, records: Sequence[Mapping[str, Any]]
     ) -> None:
@@ -512,10 +525,15 @@ class WriteAheadLog:
         self._live_size = 0
         self._fsync_directory()
 
-    @impure(reason="appends and fsyncs one entry; chaos hook may crash here")
+    @impure(reason="appends one entry, fsyncs a commit; chaos hook may crash here")
     def _append(
         self, kind: str, batch_id: int, payload: Mapping[str, Any]
     ) -> None:
+        """Write one entry; only a ``commit`` is fsync'd.
+
+        The commit's fsync also flushes the ``begin`` before it in the
+        same segment, so the batch is durable exactly when its commit is.
+        """
         line = encode_entry(self._next_seq, kind, batch_id, payload)
         if self._handle is None:
             path = self._segment_path(self._live_index)
@@ -525,7 +543,7 @@ class WriteAheadLog:
                 self._fsync_directory()
         self._handle.write(line)
         self._handle.flush()
-        if self.fsync_enabled:
+        if self.fsync_enabled and kind == KIND_COMMIT:
             os.fsync(self._handle.fileno())
         self._next_seq += 1
         self._live_size += len(line)

@@ -619,9 +619,10 @@ def extract_features(
 #
 # Item bags are the one per-record artifact two columns share: a
 # ``Dataset`` already caches them (mining filled the cache in a
-# pipeline run), and for a plain record mapping they are computed once
-# per call. Every other column's per-record artifacts live only while
-# that column is built, and each column is packed into a
+# pipeline run), a caller that keeps its own (streaming ingestion)
+# passes them in, and otherwise they are computed once per call for a
+# plain record mapping. Every other column's per-record artifacts live
+# only while that column is built, and each column is packed into a
 # :class:`FeatureMatrix` column as soon as it is built.
 
 _MemoKey = Tuple[object, ...]
@@ -636,6 +637,7 @@ class _BatchFeatureExtractor:
         self,
         dataset: Union[Dataset, Mapping[int, VictimRecord]],
         pairs: Sequence[Tuple[int, int]],
+        item_bags: Optional[Mapping[int, FrozenSet[Item]]] = None,
     ):
         self.pairs = pairs
         self.records: Dict[int, VictimRecord] = {
@@ -643,7 +645,7 @@ class _BatchFeatureExtractor:
             for rid in sorted({rid for pair in pairs for rid in pair})
         }
         self._dataset = dataset
-        self._item_bags: Optional[Mapping[int, FrozenSet[Item]]] = None
+        self._item_bags = item_bags
         self._value_memo: Dict[_MemoKey, object] = {}
 
     def per_record(
@@ -653,7 +655,7 @@ class _BatchFeatureExtractor:
         return {rid: build(record) for rid, record in self.records.items()}
 
     def item_bags(self) -> Mapping[int, FrozenSet[Item]]:
-        """Item bag per record id, computed at most once per call."""
+        """Item bag per record id: given, cached, or built once per call."""
         if self._item_bags is None:
             if isinstance(self._dataset, Dataset):
                 self._item_bags = self._dataset.item_bags
@@ -1026,6 +1028,7 @@ def extract_features_batch(
     dataset: Union[Dataset, Mapping[int, VictimRecord]],
     pairs: Sequence[Tuple[int, int]],
     names: Optional[Tuple[str, ...]] = None,
+    item_bags: Optional[Mapping[int, FrozenSet[Item]]] = None,
 ) -> FeatureMatrix:
     """Feature matrix of a chunk of pairs; ≡ :func:`extract_features`.
 
@@ -1034,12 +1037,15 @@ def extract_features_batch(
     ``extract_features(d[a], d[b])`` for ``(a, b) = ps[i]`` — same keys,
     same order, same values. Subset selection via ``names`` behaves
     identically, including the ``ValueError`` on unknown names.
+    ``item_bags``, when given, must hold ``record_to_items`` of every
+    record the pairs touch; the item columns then read it instead of
+    deriving the bags again.
     """
     selected = FEATURES if names is None else tuple(
         feature_spec(name) for name in names
     )
     pair_list = list(pairs)
-    extractor = _BatchFeatureExtractor(dataset, pair_list)
+    extractor = _BatchFeatureExtractor(dataset, pair_list, item_bags)
     columns: List[FeatureColumn] = []
     for spec in selected:
         raw = _BATCH_COLUMNS[spec.name](extractor) if pair_list else []

@@ -253,9 +253,9 @@ class TestTrainingRowReuse:
         extracted = []
         real = features_module.extract_features_batch
 
-        def spy(source, batch, names=None):
+        def spy(source, batch, names=None, item_bags=None):
             extracted.append(list(batch))
-            return real(source, batch, names=names)
+            return real(source, batch, names=names, item_bags=item_bags)
 
         monkeypatch.setattr("repro.classify.training.extract_features_batch", spy)
         records = {rid: dataset[rid] for rid in dataset.record_ids}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.classify import training
+from repro.core import incremental
 from repro.core.config import PipelineConfig
 from repro.core.incremental import IncrementalResolver
 from repro.core.pipeline import UncertainERPipeline
@@ -291,6 +293,31 @@ class TestBatchIngestion:
                 checked += 1
         assert checked > 0
 
+    def test_item_bags_derived_once_per_new_record(
+        self, small_corpus, head_classifier, monkeypatch
+    ):
+        """Classifying a batch reads the resolver's bags, never re-derives them."""
+        from repro.records.itembag import record_to_items
+        from repro.similarity import features
+
+        head, tail = _split(small_corpus)
+        resolver = IncrementalResolver(
+            head, _CLASSIFIED_CONFIG, classifier=head_classifier
+        )
+        derived = []
+
+        def counting(record):
+            derived.append(record.book_id)
+            return record_to_items(record)
+
+        monkeypatch.setattr(incremental, "record_to_items", counting)
+        monkeypatch.setattr(features, "record_to_items", counting)
+        batch = tail[:8]
+        result = resolver.add_records(batch)
+        assert result.candidates_scored > 0
+        assert result.produced  # the classifier scored the batch's pairs
+        assert sorted(derived) == sorted(record.book_id for record in batch)
+
     def test_batch_result_fields(self, small_corpus):
         head, tail = _split(small_corpus)
         resolver = IncrementalResolver(head, _CONFIG)
@@ -354,6 +381,55 @@ class TestDurability:
         assert report.batches_replayed == len(_batched(tail, 6))
         assert report.records_replayed == len(tail)
         assert report.dropped_batches == ()
+        assert _ranked_csv(recovered, tmp_path / "rec.csv") == expected
+        recovered.wal.close()
+
+    def test_recover_replays_the_log_as_one_batch(
+        self, small_corpus, ingest, tmp_path, monkeypatch
+    ):
+        """A multi-segment log is replayed by one apply and one extraction."""
+        config, kwargs = ingest
+        head, tail = _split(small_corpus)
+        batches = _batched(tail, 4)
+        assert len(batches) >= 5
+        durable = IncrementalResolver(
+            head, config,
+            wal=WriteAheadLog(tmp_path / "wal", segment_max_bytes=2048),
+            **kwargs,
+        )
+        for batch in batches:
+            durable.add_records(batch)
+        expected = _ranked_csv(durable, tmp_path / "live.csv")
+        durable.wal.close()
+        assert len(list((tmp_path / "wal").glob("wal-*.log"))) >= 2
+
+        extracted = []
+        applied = []
+        real_apply = IncrementalResolver._apply_batch
+
+        def apply_spy(resolver, batch_id, accepted, quarantined=0):
+            before = len(extracted)
+            result = real_apply(resolver, batch_id, accepted, quarantined)
+            applied.append((len(accepted), len(extracted) - before))
+            return result
+
+        real_extract = training.extract_features_batch
+
+        def extract_spy(source, pairs, names=None, item_bags=None):
+            extracted.append(len(pairs))
+            return real_extract(source, pairs, names=names, item_bags=item_bags)
+
+        monkeypatch.setattr(IncrementalResolver, "_apply_batch", apply_spy)
+        monkeypatch.setattr(training, "extract_features_batch", extract_spy)
+        recovered, report = IncrementalResolver.recover(
+            tmp_path / "wal", head, config, **kwargs
+        )
+        # One apply over every logged record, and inside it one feature
+        # extraction (none without a classifier). The base build before
+        # it extracts the base pairs the training rows do not cover.
+        assert applied == [(len(tail), 1 if config.classify else 0)]
+        assert report.batches_replayed == len(batches)
+        assert report.records_replayed == len(tail)
         assert _ranked_csv(recovered, tmp_path / "rec.csv") == expected
         recovered.wal.close()
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,31 @@ class TestProtocol:
             "torn_tail_dropped": 0,
         }
 
+    def test_one_segment_fsync_per_committed_batch(self, tmp_path, monkeypatch):
+        """Only the commit is fsync'd; directory fsyncs track segment creation."""
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        wal = WriteAheadLog(tmp_path / "wal", segment_max_bytes=400)
+        for batch_id in range(8):
+            before = synced.count("file")
+            wal.append_begin(batch_id, _records(batch_id, n=3))
+            assert synced.count("file") == before  # the begin is not synced
+            wal.append_commit(batch_id)
+            assert synced.count("file") == before + 1
+        wal.close()
+        segments = len(list((tmp_path / "wal").glob("wal-*.log")))
+        assert segments >= 2
+        # Creating the first segment syncs the directory once; each
+        # rotation syncs it when the full segment is closed and again
+        # when the next one is created.
+        assert synced.count("dir") == 2 * segments - 1
+
 
 class TestRecovery:
     def test_torn_tail_truncated_and_counted(self, tmp_path):
@@ -163,6 +190,35 @@ class TestRecovery:
         assert recovered.recovery.uncommitted_batches == [1]
         assert recovered.recovery.uncommitted_records == 3
         assert recovered.next_batch_id == 1
+        recovered.close()
+
+    @pytest.mark.parametrize("keep_newline", [False, True])
+    def test_zeroed_begin_drops_its_commit_and_the_rest(
+        self, tmp_path, keep_newline
+    ):
+        """A begin lost to power failure (read back as zeros) is a tear.
+
+        Its commit line is intact, yet the batch, and every batch after
+        it, is dropped and counted: a commit never survives without its
+        begin.
+        """
+        _write_batches(tmp_path / "wal", [_records(i) for i in range(4)])
+        segment = next((tmp_path / "wal").glob("wal-*.log"))
+        lines = segment.read_bytes().splitlines(keepends=True)
+        assert decode_entry(lines[4]).kind == "begin"  # batch 2's begin
+        assert decode_entry(lines[5]).kind == "commit"
+        zeroed = len(lines[4]) - 1 if keep_newline else len(lines[4])
+        lines[4] = bytes(zeroed) + lines[4][zeroed:]
+        segment.write_bytes(b"".join(lines))
+        kept = sum(len(line) for line in lines[:4])
+        total = sum(len(line) for line in lines)
+
+        recovered = WriteAheadLog(tmp_path / "wal")
+        assert [b.batch_id for b in recovered.committed_batches()] == [0, 1]
+        assert recovered.recovery.uncommitted_batches == []
+        assert recovered.recovery.torn_tail_bytes == total - kept
+        assert segment.stat().st_size == kept
+        assert recovered.next_batch_id == 2
         recovered.close()
 
     def test_seq_gap_is_a_tear(self, tmp_path):
