@@ -119,8 +119,6 @@ def _shared_stats(executor):
     stats = executor.stats
     return {
         "shared_dispatches": stats.shared_dispatches,
-        "bytes_not_pickled": stats.bytes_not_pickled,
-        "shared_segment_bytes": stats.shared_segment_bytes,
         "pools_created": stats.pools_created,
     }
 

@@ -150,7 +150,7 @@ class MFIBlocks(BlockingAlgorithm):
             # pair scoring run through the batch kernels against it
             # (bit-identical to the scalar scorer, see
             # repro/similarity/batch.py). A parallel run publishes it
-            # once here — outside the descent loop — so the forked warm
+            # once here — outside the descent loop — so the warm
             # pool stays valid across iterations.
             with tracer.span("mfiblocks.intern"):
                 corpus = InternedCorpus(item_bags)

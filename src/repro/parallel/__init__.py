@@ -41,7 +41,6 @@ from repro.parallel.shared import (
     publish_shared_state,
     shared_generation,
     shared_state,
-    shared_state_supported,
 )
 from repro.parallel.work import classify_pair_chunk, run_chunk, score_pair_chunk
 
@@ -60,7 +59,6 @@ __all__ = [
     "publish_shared_state",
     "shared_generation",
     "shared_state",
-    "shared_state_supported",
     "classify_pair_chunk",
     "run_chunk",
     "score_pair_chunk",

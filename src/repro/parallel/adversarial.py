@@ -103,7 +103,7 @@ class AdversarialScheduleExecutor(Executor):
         )
         rng.shuffle(order)
         self.schedule_log.append(list(order))
-        self._count_shared(shared, len(work))
+        self._count_shared(shared)
         results = {}
         with tracer.span(label, executor=self.name, chunks=len(work)):
             for index in order:

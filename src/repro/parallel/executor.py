@@ -60,7 +60,13 @@ from repro.obs.worker import (
     merge_worker_events,
 )
 from repro.parallel.chunking import fixed_chunks, partition_evenly
-from repro.parallel.shared import SharedStateHandle, shared_generation, worker_context
+from repro.parallel.shared import (
+    SharedStateHandle,
+    adopt_registry,
+    registry_snapshot,
+    shared_generation,
+    worker_context,
+)
 from repro.parallel.work import ChunkTask, run_chunk
 from repro.resilience.faults import (
     WorkerCrashPlan,
@@ -107,8 +113,6 @@ class ExecutorStats:
     hangs_armed: int = 0
     chunks_timed_out: int = 0
     shared_dispatches: int = 0
-    bytes_not_pickled: int = 0
-    shared_segment_bytes: int = 0
     pools_created: int = 0
 
     def to_echo(self) -> Dict[str, int]:
@@ -172,22 +176,13 @@ class Executor(abc.ABC):
         """
         return {}
 
-    def _count_shared(
-        self, shared: Optional[SharedStateHandle], chunks: int
-    ) -> None:
-        """Account a dispatch whose payloads carry ``shared.ref``.
+    def _count_shared(self, shared: Optional[SharedStateHandle]) -> None:
+        """Count a dispatch whose payloads carry ``shared.ref``.
 
-        Only registry-token publications count: a mapping ``ref``
-        travels pickled in every payload, so nothing was saved.
+        Every ``ref`` is a registry token, so any publication counts.
         """
-        if shared is None or not shared.shared:
-            return
-        stats = self.stats
-        stats.shared_dispatches += 1
-        stats.bytes_not_pickled += shared.baseline_bytes * chunks
-        stats.shared_segment_bytes = max(
-            stats.shared_segment_bytes, shared.segment_bytes
-        )
+        if shared is not None:
+            self.stats.shared_dispatches += 1
 
     @abc.abstractmethod
     def map_chunks(
@@ -201,8 +196,7 @@ class Executor(abc.ABC):
         """Apply ``func`` to every payload; results in submission order.
 
         ``shared`` is the publication the payloads reference, if any.
-        Executors use it only for the ``shared_dispatches``,
-        ``bytes_not_pickled`` and ``shared_segment_bytes`` stats — it
+        Executors use it only for the ``shared_dispatches`` stat — it
         never influences execution.
         """
 
@@ -293,11 +287,13 @@ class MultiprocessExecutor(Executor):
         """The warm worker pool, rebuilt only when it must be.
 
         A pool is reusable while the shared-state registry generation
-        it forked under is current — workers inherit the registry at
-        fork, so a publish/close after the fork makes their snapshot
-        stale. Faulted or timed-out pools are discarded by the dispatch
-        loop. The pool is always ``self.workers`` wide (workers spawn
-        lazily, so an undersized dispatch never pays for idle slots).
+        it was built under is current — its workers adopt a registry
+        snapshot at start (inherited under fork, pickled once per
+        worker under spawn), so a publish/close after that makes the
+        snapshot stale. Faulted or timed-out pools are discarded by the
+        dispatch loop. The pool is always ``self.workers`` wide
+        (workers spawn lazily, so an undersized dispatch never pays for
+        idle slots).
         """
         generation = shared_generation()
         pool = self._pool
@@ -305,7 +301,10 @@ class MultiprocessExecutor(Executor):
             return pool
         self._discard_pool(wait=True)
         pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=worker_context()
+            max_workers=self.workers,
+            mp_context=worker_context(),
+            initializer=adopt_registry,
+            initargs=(registry_snapshot(),),
         )
         self._pool = pool
         self._pool_generation = generation
@@ -382,7 +381,7 @@ class MultiprocessExecutor(Executor):
         stats.chunks += count
         if not work:
             return []
-        self._count_shared(shared, count)
+        self._count_shared(shared)
         traced = tracer.enabled
         clock = tracer.clock
         now = clock.now if traced else _unstamped

@@ -8,11 +8,11 @@ unpickles it, calls the work function, and pickles the result for the
 parent to unpickle. Tracing only adds a :class:`WorkerTracer` around
 those steps; the route is the same.
 
-A worker shares nothing with the parent but the pickled payload and,
-on fork, the shared-state registry it inherited: no tracer, no caches,
-no ambient state. Each work function is therefore argument-determined
-— the property that makes a chunk's result identical wherever it runs
-(``docs/PARALLELISM.md``). The pair-scoring functions take a
+A worker shares nothing with the parent but the pickled payload and
+the shared-state registry snapshot it adopted at pool start: no
+tracer, no caches, no ambient state. Each work function is therefore
+argument-determined — the property that makes a chunk's result
+identical wherever it runs (``docs/PARALLELISM.md``). The pair-scoring functions take a
 ``(ref, pairs)`` payload: ``ref`` resolves through
 :func:`~repro.parallel.shared.shared_state` to the published scorer and
 corpus (or dataset, model and feature names), and scoring runs on the
@@ -43,7 +43,7 @@ from repro.obs.worker import (
     WORKER_SERIALIZE_SPAN,
     WorkerTracer,
 )
-from repro.parallel.shared import SharedRef, shared_state
+from repro.parallel.shared import shared_state
 from repro.similarity.features import extract_features_batch
 
 if TYPE_CHECKING:
@@ -64,8 +64,8 @@ Pair = Tuple[int, int]
 #: profile memory?)
 ChunkTask = Tuple[Callable[[Any], Any], int, bytes, bool, bool]
 
-#: (published shared-state ref, pairs to score).
-PairChunk = Tuple[SharedRef, List[Pair]]
+#: (published shared-state registry token, pairs to score).
+PairChunk = Tuple[str, List[Pair]]
 
 
 @picklable_work

@@ -523,7 +523,6 @@ class WriteAheadLog:
         self.close()
         self._live_index += 1
         self._live_size = 0
-        self._fsync_directory()
 
     @impure(reason="appends one entry, fsyncs a commit; chaos hook may crash here")
     def _append(

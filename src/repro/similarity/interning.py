@@ -33,8 +33,9 @@ through float64 and loses the correct rounding above ``2**53``.
 
 The corpus is read-only after construction, picklable, and fork-safe —
 the shared-state registry (:mod:`repro.parallel.shared`) publishes it
-once per run and workers score pairs against the inherited arrays
-without any per-chunk corpus pickling.
+once per run and pool workers score pairs against the copy they adopted
+at start (the parent's own pages under fork), without any per-chunk
+corpus pickling.
 """
 
 from __future__ import annotations
@@ -308,29 +309,3 @@ class InternedCorpus:
             )
         self._weights_cache[key] = entry
         return entry
-
-    # -- shared-memory support ----------------------------------------------
-
-    _SHARED_ARRAYS = ("bits", "sizes", "type_counts")
-
-    def export_arrays(self) -> Dict[str, np.ndarray]:
-        """The large read-only arrays, for shared-memory publication."""
-        return {name: getattr(self, name) for name in self._SHARED_ARRAYS}
-
-    def adopt_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Rebind the large arrays (to shared-memory views, or back)."""
-        for name in self._SHARED_ARRAYS:
-            setattr(self, name, arrays[name])
-
-    def copy_arrays_private(self) -> None:
-        """Replace array views with private in-process copies.
-
-        Called before a shared-memory segment is closed so no live view
-        pins the mapping (``docs/PARALLELISM.md``, lifecycle).
-        """
-        self.adopt_arrays(
-            {
-                name: np.array(getattr(self, name), copy=True)
-                for name in self._SHARED_ARRAYS
-            }
-        )

@@ -2,20 +2,22 @@
 
 ``repro.parallel.shared`` publishes heavy read-only objects (scorer,
 interned corpus, dataset, model) once per run; work functions resolve
-the handle's ``ref`` — a token into the fork-inherited registry, or on
-other start methods the mapping itself — instead of unpickling a corpus
-per chunk. These tests pin the lifecycle (publish / resolve / close /
-generation), the shm segment accounting, the work functions' parity
-with the per-pair scalar oracles, the spawn fallback, and the
-executor's warm-pool behavior around generation changes.
+the handle's ``ref`` — a token into the registry each pool worker
+adopts at start — instead of unpickling a corpus per chunk. These tests
+pin the lifecycle (publish / resolve / close / generation), that
+publication never copies or rebinds the published objects, the work
+functions' parity with the per-pair scalar oracles, a real spawn pool,
+and the executor's warm-pool behavior around generation changes.
 """
 
 from __future__ import annotations
 
-import pickle
+import multiprocessing
+import sys
 
 import pytest
 
+import repro.parallel.executor as executor_module
 import repro.parallel.shared as shared_module
 from repro.blocking.scoring import BlockScorer, ScoringMethod
 from repro.core import PipelineConfig, UncertainERPipeline
@@ -24,7 +26,7 @@ from repro.parallel.shared import (
     publish_shared_state,
     shared_generation,
     shared_state,
-    shared_state_supported,
+    worker_context,
 )
 from repro.parallel.work import classify_pair_chunk, score_pair_chunk
 from repro.similarity.features import extract_features
@@ -44,10 +46,13 @@ def pairs(bags):
 
 
 class TestLifecycle:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="pools fork on Linux"
+    )
     def test_fork_platform_supports_shared_state(self):
-        # The suite's parity tests rely on the shared path actually
-        # being exercised on the CI/dev platforms (Linux => fork).
-        assert shared_state_supported()
+        # On the Linux CI/dev platforms pools fork, so the parity tests
+        # exercise workers that inherit the registry without pickling.
+        assert worker_context().get_start_method() == "fork"
 
     @pytest.mark.parametrize(
         "default, pool_method",
@@ -67,7 +72,6 @@ class TestLifecycle:
         assert shared_module.worker_context().get_start_method() == (
             pool_method
         )
-        assert shared_state_supported() == (pool_method == "fork")
 
     def test_publish_resolve_close(self, bags):
         corpus = InternedCorpus(bags)
@@ -111,26 +115,18 @@ class TestLifecycle:
         expected = scorer.pair_similarity_batch(corpus, pairs)
         with publish_shared_state(corpus=corpus):
             pass
-        # Arrays were rehomed to shm and back to private copies; the
-        # kernels must still see identical data.
         assert scorer.pair_similarity_batch(corpus, pairs) == expected
 
-    def test_segment_accounting(self, bags):
+    def test_publication_keeps_the_corpus_arrays(self, bags):
+        # Publishing registers the corpus as it is: its arrays are
+        # never rehomed, during publication or after close.
         corpus = InternedCorpus(bags)
-        baseline = len(
-            pickle.dumps(
-                {"corpus": corpus}, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        )
+        arrays = (corpus.bits, corpus.sizes, corpus.type_counts)
         with publish_shared_state(corpus=corpus) as handle:
-            assert handle.segment_bytes > 0
-            assert handle.baseline_bytes >= baseline // 2
-        no_corpus = publish_shared_state(payload=[1, 2, 3])
-        try:
-            assert no_corpus.segment_bytes == 0
-            assert no_corpus.baseline_bytes > 0
-        finally:
-            no_corpus.close()
+            assert shared_state(handle.ref)["corpus"] is corpus
+        assert corpus.bits is arrays[0]
+        assert corpus.sizes is arrays[1]
+        assert corpus.type_counts is arrays[2]
 
 
 class TestSharedWorkFunctions:
@@ -185,38 +181,17 @@ class _RecordingExecutor(MultiprocessExecutor):
         return super().map_chunks(func, payloads, **kwargs)
 
 
-class TestSpawnFallback:
-    """Non-fork start methods: ``ref`` is the mapping, pickled along."""
+class TestSpawnPool:
+    """A real spawn pool: workers adopt the registry pickled at start."""
 
-    @pytest.fixture()
-    def no_fork(self, monkeypatch):
-        def no_segments(_nbytes):
-            raise AssertionError("the fallback must not allocate shm")
-
-        monkeypatch.setattr(
-            shared_module, "shared_state_supported", lambda: False
-        )
-        monkeypatch.setattr(shared_module, "_allocate_segment", no_segments)
-
-    def test_ref_is_the_mapping_and_no_segments(self, no_fork, bags, pairs):
-        corpus = InternedCorpus(bags)
-        scorer = BlockScorer(method=ScoringMethod.EXPERT)
-        generation = shared_generation()
-        with publish_shared_state(scorer=scorer, corpus=corpus) as handle:
-            assert handle.ref == {"scorer": scorer, "corpus": corpus}
-            assert not handle.shared
-            assert handle.segment_bytes == 0
-            assert shared_state(handle.ref) is handle.ref
-            chunk = score_pair_chunk((handle.ref, pairs))
-        assert shared_generation() == generation
-        assert chunk == [
-            ((a, b), scorer.pair_similarity(bags[a], bags[b]))
-            for a, b in pairs
-        ]
-
-    def test_ranked_csv_matches_serial(self, no_fork, tmp_path):
+    def test_ranked_csv_matches_serial(self, monkeypatch, tmp_path):
         from repro.datagen import build_corpus
 
+        monkeypatch.setattr(
+            executor_module,
+            "worker_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
         dataset, _persons = build_corpus(
             n_persons=120, communities=("italy",), seed=23
         )
@@ -232,7 +207,7 @@ class TestSpawnFallback:
             outputs[name] = out.read_bytes()
             executor.close()
         assert outputs["pool"] == outputs["serial"]
-        # Scoring really dispatched, with the mapping in every payload.
+        # Scoring really dispatched, with only the token in every payload.
         scoring = [
             payloads
             for func, payloads in pool.dispatched
@@ -240,10 +215,9 @@ class TestSpawnFallback:
         ]
         assert scoring
         for payloads in scoring:
-            assert all(isinstance(ref, dict) for ref, _pairs in payloads)
+            assert all(isinstance(ref, str) for ref, _pairs in payloads)
         assert pool.stats.worker_chunks > 0
-        assert pool.stats.shared_dispatches == 0
-        assert pool.stats.bytes_not_pickled == 0
+        assert pool.stats.worker_retries == 0
 
 
 class TestWarmPool:
@@ -257,9 +231,6 @@ class TestWarmPool:
             shared=handle,
         )
 
-    @pytest.mark.skipif(
-        not shared_state_supported(), reason="fork start method required"
-    )
     def test_pool_kept_warm_across_dispatches(self, bags, pairs):
         corpus = InternedCorpus(bags)
         executor = MultiprocessExecutor(workers=2)
@@ -272,14 +243,9 @@ class TestWarmPool:
             assert first == second
             assert executor.stats.pools_created == 1
             assert executor.stats.shared_dispatches == 2
-            assert executor.stats.bytes_not_pickled > 0
-            assert executor.stats.shared_segment_bytes == handle.segment_bytes
         finally:
             executor.close()
 
-    @pytest.mark.skipif(
-        not shared_state_supported(), reason="fork start method required"
-    )
     def test_generation_change_rebuilds_pool(self, bags, pairs):
         executor = MultiprocessExecutor(workers=2)
         try:
@@ -308,8 +274,6 @@ class TestWarmPool:
             echo = executor.stats.to_echo()
             for key in (
                 "shared_dispatches",
-                "bytes_not_pickled",
-                "shared_segment_bytes",
                 "pools_created",
             ):
                 assert key in echo
