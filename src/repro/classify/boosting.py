@@ -23,18 +23,19 @@ give one ``code == k`` mask per observed level. A sequence of dict
 vectors is converted once with ``FeatureMatrix.from_vectors``, so both
 inputs fit the same tree.
 
-The search is vectorized with numpy. Condition satisfaction, presence
-and their difference (present but not satisfied) are built once per fit
-as float64 matrices, one row per base condition, and each round reduces
-to five matrix-vector products per precondition, keeping 10 rounds over
-~10k pairs around a second. The products stay one GEMV per matrix and
-precondition: a GEMM over a round's stacked preconditions accumulates
-in another order, so its sums can differ in the last bits, and that
-would move the tree.
+The split sums are exact: each round quantizes the boosting weights to
+a power-of-two fixed-point grid scaled from their ``math.fsum`` total, so
+every W+ and W- is a sum of integers below 2**53, which float64 adds
+exactly whatever the BLAS kernel, thread count or row order. A round
+stacks its preconditions as ``2P`` weight columns and takes every sum
+from one GEMM pair: the condition matrix (built once per fit) gives
+W(c1 & c2), a per-feature presence matrix W(c1 & present), and
+W(c1 & !c2) is their difference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -66,8 +67,8 @@ class _CandidateSet:
 
     conditions: List[Condition]
     satisfied: NDArray[np.float64]  # (n_cond, n): test passes
-    present: NDArray[np.float64]  # (n_cond, n): feature present
-    not_satisfied: NDArray[np.float64]  # present - satisfied
+    present: NDArray[np.float64]  # (n_feat, n): feature present
+    feature_of: NDArray[np.intp]  # (n_cond,): row of present per condition
 
 
 class ADTreeLearner:
@@ -147,7 +148,7 @@ class ADTreeLearner:
             mask, parent = preconditions[pre_index]
             condition = candidates.conditions[cond_index]
             sat = candidates.satisfied[cond_index]
-            pres = candidates.present[cond_index]
+            pres = candidates.present[candidates.feature_of[cond_index]]
 
             mask_yes = mask * sat
             mask_no = mask * pres * (1.0 - sat)
@@ -180,47 +181,41 @@ class ADTreeLearner:
         y: NDArray[np.float64],
     ) -> Optional[Tuple[int, int, float, float]]:
         """Z-minimizing (precondition, condition) with its branch values."""
-        w_pos = weights * (y > 0)
-        w_neg = weights * (y < 0)
-        total = float(weights.sum())
-        not_satisfied = candidates.not_satisfied
+        units, shift = _quantize(weights)
+        masks = np.array([mask for mask, _node in preconditions])
+        n_pre = len(masks)
+        # Columns [u+ * mask_p ..., u- * mask_p ...]: integer sums, exact.
+        stacked = np.concatenate(
+            [masks * (units * (y > 0)), masks * (units * (y < 0))]
+        ).T
+        yes = candidates.satisfied @ stacked
+        reached = (candidates.present @ stacked)[candidates.feature_of]
+        wp_yes, wn_yes = np.hsplit(np.ldexp(yes, -shift), 2)
+        wp_no, wn_no = np.hsplit(np.ldexp(reached - yes, -shift), 2)
+        outside = np.ldexp(
+            units.sum() - reached[:, :n_pre] - reached[:, n_pre:], -shift
+        )
+        z = 2.0 * (np.sqrt(wp_yes * wn_yes) + np.sqrt(wp_no * wn_no)) + outside
 
-        best: Optional[Tuple[float, int, int, float, float]] = None
-        for pre_index, (mask, _node) in enumerate(preconditions):
-            wp_in = w_pos * mask
-            wn_in = w_neg * mask
-            w_in = wp_in + wn_in
-
-            wp_yes = candidates.satisfied @ wp_in
-            wn_yes = candidates.satisfied @ wn_in
-            wp_no = not_satisfied @ wp_in
-            wn_no = not_satisfied @ wn_in
-            w_reached = candidates.present @ w_in
-
-            z = (
-                2.0 * (np.sqrt(wp_yes * wn_yes) + np.sqrt(wp_no * wn_no))
-                + (total - w_reached)
-            )
-            cond_index = int(np.argmin(z))
-            z_value = float(z[cond_index])
+        best: Optional[Tuple[float, int, int]] = None
+        for pre_index in range(n_pre):
+            cond_index = int(np.argmin(z[:, pre_index]))
+            z_value = float(z[cond_index, pre_index])
             if best is None or z_value < best[0] - 1e-12:
-                value_yes = self._log_odds(
-                    float(wp_yes[cond_index]), float(wn_yes[cond_index])
-                )
-                value_no = self._log_odds(
-                    float(wp_no[cond_index]), float(wn_no[cond_index])
-                )
-                best = (z_value, pre_index, cond_index, value_yes, value_no)
+                best = (z_value, cond_index, pre_index)
         if best is None:
             return None
-        _, pre_index, cond_index, value_yes, value_no = best
-        return pre_index, cond_index, value_yes, value_no
+        _, c, p = best
+        value_yes = self._log_odds(float(wp_yes[c, p]), float(wn_yes[c, p]))
+        value_no = self._log_odds(float(wp_no[c, p]), float(wn_no[c, p]))
+        return p, c, value_yes, value_no
 
     def _build_candidates(self, matrix: FeatureMatrix) -> _CandidateSet:
         """Enumerate base conditions and evaluate them over the matrix."""
         conditions: List[Condition] = []
         satisfied_rows: List[NDArray[np.bool_]] = []
         present_rows: List[NDArray[np.bool_]] = []
+        feature_of: List[int] = []
 
         for name, column in matrix.columns.items():
             present = column.present
@@ -230,7 +225,7 @@ class ADTreeLearner:
                 for code, label in enumerate(column.labels):
                     conditions.append(CategoricalCondition(name, label))
                     satisfied_rows.append(column.codes == code)
-                    present_rows.append(present)
+                    feature_of.append(len(present_rows))
             else:
                 values = column.values
                 for threshold in self._thresholds(values[present]):
@@ -238,15 +233,17 @@ class ADTreeLearner:
                         passes = (values < threshold) & present
                     conditions.append(NumericCondition(name, float(threshold)))
                     satisfied_rows.append(passes)
-                    present_rows.append(present)
+                    feature_of.append(len(present_rows))
+            present_rows.append(present)
 
         if not conditions:
             empty = np.zeros((0, len(matrix)), dtype=np.float64)
-            return _CandidateSet([], empty, empty, empty)
-        satisfied = np.array(satisfied_rows, dtype=np.float64)
-        present_matrix = np.array(present_rows, dtype=np.float64)
+            return _CandidateSet([], empty, empty, np.zeros(0, dtype=np.intp))
         return _CandidateSet(
-            conditions, satisfied, present_matrix, present_matrix - satisfied
+            conditions,
+            np.array(satisfied_rows, dtype=np.float64),
+            np.array(present_rows, dtype=np.float64),
+            np.array(feature_of, dtype=np.intp),
         )
 
     def _thresholds(self, present_values: NDArray[np.float64]) -> List[float]:
@@ -260,3 +257,16 @@ class ADTreeLearner:
         quantiles = np.linspace(0, 1, self.max_numeric_thresholds + 2)[1:-1]
         picked = np.quantile(midpoints, quantiles)
         return [float(m) for m in np.unique(picked)]
+
+
+def _quantize(weights: NDArray[np.float64]) -> Tuple[NDArray[np.float64], int]:
+    """Weights as integers on a 2**-shift grid, and ``shift``.
+
+    The units total at most 2**51 + n/2, so every subset sum of them is
+    exact in float64; ``np.ldexp(sum, -shift)`` rescales it exactly.
+    """
+    total = math.fsum(weights.tolist())
+    if not math.isfinite(total):
+        raise ValueError(f"boosting weights total {total}, not a finite value")
+    shift = 51 - math.frexp(total)[1]
+    return np.rint(np.ldexp(weights, shift)), shift

@@ -346,9 +346,14 @@ class OneVsRestADTree:
         classes = sorted(set(labels), key=str)
         if len(classes) < 2:
             raise ValueError("need at least two classes")
+        matrix = (
+            features
+            if isinstance(features, FeatureMatrix)
+            else FeatureMatrix.from_vectors(features)
+        )
         for cls in classes:
             binary = [label == cls for label in labels]
-            self.models[cls] = self.learner.fit(features, binary)
+            self.models[cls] = self.learner.fit(matrix, binary)
         return self
 
     def predict(self, vector: FeatureVector) -> Hashable:

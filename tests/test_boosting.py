@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.classify.adtree import ADTreeModel, CategoricalCondition
-from repro.classify.boosting import ADTreeLearner
+from repro.classify.boosting import ADTreeLearner, _quantize
 from repro.classify.training import evaluate_model
+from repro.similarity.features import FeatureMatrix, extract_features_batch
+from tools.golden_kernels import golden_dataset, golden_labels, golden_pairs
 
 
 def learn(features, labels, **kwargs):
@@ -168,3 +172,68 @@ class TestConfidenceRanking:
         one = model.score({"fa": "y", "fb": "n"})
         none = model.score({"fa": "n", "fb": "n"})
         assert both > one > none
+
+
+def _scaled_to(weights, total):
+    return weights * (total / math.fsum(weights.tolist()))
+
+
+class TestExactSplitSums:
+    """Split sums are exact integers, so the tree ignores row order."""
+
+    def test_row_order_does_not_move_the_tree(self):
+        dataset = golden_dataset()
+        pairs = golden_pairs(dataset)
+        matrix = extract_features_batch(dataset, pairs)
+        labels = golden_labels(dataset, pairs)
+        expected = ADTreeLearner().fit(matrix, labels).to_dict()
+        vectors = matrix.vectors()
+        for seed in (1, 2, 3):
+            order = list(range(len(pairs)))
+            random.Random(seed).shuffle(order)
+            model = ADTreeLearner().fit(
+                FeatureMatrix.from_vectors([vectors[i] for i in order]),
+                [labels[i] for i in order],
+            )
+            assert model.to_dict() == expected, f"permutation seed {seed}"
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            # log-uniform over ~1e-12 .. 1e3, total just under 2**17
+            _scaled_to(np.geomspace(1e-12, 1e3, 4001), 2**17 * (1 - 1e-12)),
+            # fsum exactly 2**11
+            np.full(4096, 0.5),
+            # one weight dwarfs the rest
+            np.concatenate([[1e3], np.full(3000, 1e-12)]),
+        ],
+        ids=["log-span", "power-of-two-total", "one-heavy"],
+    )
+    def test_quantized_sums_are_exact(self, weights):
+        units, shift = _quantize(weights)
+        assert np.array_equal(units, np.round(units))
+        as_ints = [int(u) for u in units]
+        assert sum(as_ints) < 2**53
+        rng = np.random.default_rng(5)
+        satisfied = (rng.random((40, len(units))) < 0.5).astype(np.float64)
+        masks = (rng.random((3, len(units))) < 0.7).astype(np.float64)
+        stacked = (masks * units).T
+        sums = satisfied @ stacked
+        for i, row in enumerate(satisfied):
+            for p, mask in enumerate(masks):
+                expected = sum(
+                    u for u, s, m in zip(as_ints, row, mask) if s and m
+                )
+                assert sums[i, p].item() == expected  # exact float == int
+        # The grid scale follows the correctly rounded total.
+        total = math.fsum(weights.tolist())
+        assert 2**50 <= math.ldexp(total, shift) < 2**51
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, math.inf, 2.0], [1.0, math.nan, 2.0], [math.inf, -math.inf]],
+        ids=["inf", "nan", "inf-minus-inf"],
+    )
+    def test_non_finite_total_raises(self, weights):
+        with pytest.raises(ValueError):
+            _quantize(np.array(weights))

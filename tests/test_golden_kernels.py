@@ -19,6 +19,11 @@ Intentional changes regenerate with::
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+
 import pytest
 
 from repro.classify.adtree import ADTreeModel
@@ -31,6 +36,7 @@ from repro.similarity.features import (
 )
 from tools.golden_kernels import (
     ADTREE_JSON,
+    REPO_ROOT,
     CONFIDENCES_CSV,
     FEATURES_CSV,
     N_PAIRS,
@@ -194,6 +200,37 @@ class TestGoldenADTree:
             extract_features_batch(dataset, pairs), golden_labels(dataset, pairs)
         )
         assert model.to_dict() == load_adtree_json()
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86 kernels",
+    )
+    @pytest.mark.parametrize("coretype", ["Sandybridge", "Prescott"])
+    def test_fit_under_other_blas_kernel_matches_committed_tree(self, coretype):
+        # Exact split sums make the tree independent of the BLAS kernel;
+        # OpenBLAS reads the core type once, at load, so fit in a child.
+        script = (
+            "import json\n"
+            "from tools.golden_kernels import golden_dataset, golden_pairs,"
+            " train_golden_tree\n"
+            "dataset = golden_dataset()\n"
+            "model = train_golden_tree(dataset, golden_pairs(dataset))\n"
+            "print(json.dumps(model.to_dict(), indent=1))\n"
+        )
+        env = dict(
+            os.environ,
+            OPENBLAS_CORETYPE=coretype,
+            PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert child.stdout == ADTREE_JSON.read_text(encoding="utf-8")
 
     def test_tree_uses_both_condition_kinds(self):
         kinds = {

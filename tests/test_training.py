@@ -17,7 +17,11 @@ from repro.classify.training import (
     train_test_split,
 )
 from repro.records.dataset import Dataset
-from repro.similarity.features import FEATURE_NAMES, extract_features
+from repro.similarity.features import (
+    FEATURE_NAMES,
+    FeatureMatrix,
+    extract_features,
+)
 from tests.conftest import make_record
 
 
@@ -220,6 +224,35 @@ class TestOneVsRest:
         assert model.predict({"c": "b"}) == "no"
         assert model.predict({"c": "m"}) == "maybe"
         assert model.accuracy(features, labels) > 0.95
+
+    def test_vectors_and_matrix_fit_the_same_trees(self):
+        features = [
+            {"c": "abm"[i % 3], "x": (i * 7 % 30) / 30.0, "z": None}
+            for i in range(90)
+        ]
+        labels = [("yes", "no", "maybe")[i % 3] for i in range(90)]
+        learner = ADTreeLearner(n_rounds=3)
+        from_vectors = OneVsRestADTree(learner).fit(features, labels)
+        from_matrix = OneVsRestADTree(learner).fit(
+            FeatureMatrix.from_vectors(features), labels
+        )
+        assert from_vectors.models.keys() == from_matrix.models.keys()
+        for cls, model in from_vectors.models.items():
+            assert model.to_dict() == from_matrix.models[cls].to_dict()
+
+    def test_converts_vectors_once(self, monkeypatch):
+        calls = []
+        original = FeatureMatrix.from_vectors.__func__
+
+        def counting(cls, vectors):
+            calls.append(len(vectors))
+            return original(cls, vectors)
+
+        monkeypatch.setattr(FeatureMatrix, "from_vectors", classmethod(counting))
+        features = [{"c": "abm"[i % 3]} for i in range(30)]
+        labels = [("yes", "no", "maybe")[i % 3] for i in range(30)]
+        OneVsRestADTree(ADTreeLearner(n_rounds=2)).fit(features, labels)
+        assert calls == [30]
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
