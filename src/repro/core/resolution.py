@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -92,7 +93,16 @@ def connected_components(
 
 
 class ResolutionResult:
-    """The ranked, queryable outcome of an uncertain-ER run."""
+    """The ranked, queryable outcome of an uncertain-ER run.
+
+    The evidence is held as columns in first-seen pair order — pair
+    ends, similarity, confidence, same-source flag — plus the rows in
+    pair order for lookups, and a :class:`PairEvidence` is built when
+    one is read. A row costs five list slots and one index entry (48
+    bytes), where a held ``PairEvidence``, its pair tuple and a dict
+    slot cost about 150: callers keep many resolutions alive at once
+    (every repetition of a benchmark run, every batch of an ingest).
+    """
 
     def __init__(
         self,
@@ -101,12 +111,25 @@ class ResolutionResult:
         report: Optional[RunReport] = None,
         degraded: bool = False,
     ) -> None:
-        self._evidence: Dict[Pair, PairEvidence] = {}
+        # A repeated pair keeps its first position and its last value.
+        latest: Dict[Pair, PairEvidence] = {}
         for entry in evidence:
             a, b = entry.pair
             if a >= b:
                 raise ValueError(f"pair not canonicalized: {entry.pair}")
-            self._evidence[entry.pair] = entry
+            latest[entry.pair] = entry
+        entries = list(latest.values())
+        self._a: List[int] = [entry.pair[0] for entry in entries]
+        self._b: List[int] = [entry.pair[1] for entry in entries]
+        self._similarity: List[float] = [entry.similarity for entry in entries]
+        self._confidence: List[Optional[float]] = [
+            entry.confidence for entry in entries
+        ]
+        self._same_source: List[bool] = [entry.same_source for entry in entries]
+        pairs = list(latest)
+        self._by_pair = array(
+            "q", sorted(range(len(pairs)), key=lambda row: pairs[row])
+        )
         self.n_records = n_records
         #: The instrumentation account of the run that produced this
         #: resolution (None with the default no-op tracer). Deliberately
@@ -118,31 +141,68 @@ class ResolutionResult:
         #: a degraded artifact must never pass for a full one.
         self.degraded = degraded
 
+    def _evidence_at(self, row: int) -> PairEvidence:
+        return PairEvidence(
+            (self._a[row], self._b[row]),
+            self._similarity[row],
+            self._confidence[row],
+            self._same_source[row],
+        )
+
+    def _row_of(self, pair: Pair) -> int:
+        """The row holding ``pair`` (binary search), or -1."""
+        by_pair, col_a, col_b = self._by_pair, self._a, self._b
+        low, high = 0, len(by_pair)
+        while low < high:
+            middle = (low + high) // 2
+            row = by_pair[middle]
+            if (col_a[row], col_b[row]) < pair:
+                low = middle + 1
+            else:
+                high = middle
+        if low < len(by_pair):
+            row = by_pair[low]
+            if (col_a[row], col_b[row]) == pair:
+                return row
+        return -1
+
     # -- container ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._evidence)
+        return len(self._a)
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self._evidence
+        return self._row_of(pair) >= 0
 
     def __getitem__(self, pair: Pair) -> PairEvidence:
-        return self._evidence[pair]
+        row = self._row_of(pair)
+        if row < 0:
+            raise KeyError(pair)
+        return self._evidence_at(row)
 
     def __iter__(self) -> Iterator[PairEvidence]:
-        return iter(self._evidence.values())
+        return map(self._evidence_at, range(len(self._a)))
 
     @property
     def pairs(self) -> FrozenSet[Pair]:
-        return frozenset(self._evidence)
+        return frozenset(zip(self._a, self._b))
 
     # -- ranked / certainty queries --------------------------------------------------
 
+    def _ranked_rows(self) -> Tuple[List[int], List[float]]:
+        """Rows by descending ranking key, then pair; and each row's key."""
+        keys = [
+            similarity if confidence is None else confidence
+            for similarity, confidence in zip(self._similarity, self._confidence)
+        ]
+        # A stable sort of the pair-ordered rows leaves equal keys in pair order.
+        rows = sorted(self._by_pair, key=lambda row: -keys[row])
+        return rows, keys
+
     def ranked(self) -> List[PairEvidence]:
         """All evidence sorted by descending ranking key."""
-        return sorted(
-            self._evidence.values(), key=lambda e: (-e.ranking_key, e.pair)
-        )
+        rows, _keys = self._ranked_rows()
+        return list(map(self._evidence_at, rows))
 
     def top(self, k: int) -> List[PairEvidence]:
         """The ``k`` highest-ranked pairs."""
@@ -156,9 +216,9 @@ class ResolutionResult:
         This is the tunable Web-query knob of Section 4.2 — lowering
         ``certainty`` returns a larger, less certain response.
         """
-        return [
-            entry.pair for entry in self.ranked() if entry.ranking_key > certainty
-        ]
+        rows, keys = self._ranked_rows()
+        col_a, col_b = self._a, self._b
+        return [(col_a[row], col_b[row]) for row in rows if keys[row] > certainty]
 
     def entities(
         self, certainty: float = 0.0, include_singletons: bool = False
@@ -170,10 +230,8 @@ class ResolutionResult:
         """
         seeds: Optional[Set[int]] = None
         if include_singletons:
-            seeds = set()
-            for a, b in self._evidence:
-                seeds.add(a)
-                seeds.add(b)
+            seeds = set(self._a)
+            seeds.update(self._b)
         return connected_components(self.resolve(certainty), seeds=seeds)
 
     # -- evaluation ---------------------------------------------------------------
@@ -208,14 +266,15 @@ class ResolutionResult:
             writer.writerow(
                 ["book_id_a", "book_id_b", "similarity", "confidence"]
             )
-            for evidence in self.ranked():
-                if evidence.ranking_key <= certainty:
+            rows, keys = self._ranked_rows()
+            for row in rows:
+                if keys[row] <= certainty:
                     continue
+                confidence = self._confidence[row]
                 writer.writerow([
-                    evidence.pair[0], evidence.pair[1],
-                    f"{evidence.similarity:.4f}",
-                    "" if evidence.confidence is None
-                    else f"{evidence.confidence:.4f}",
+                    self._a[row], self._b[row],
+                    f"{self._similarity[row]:.4f}",
+                    "" if confidence is None else f"{confidence:.4f}",
                 ])
                 written += 1
         return written

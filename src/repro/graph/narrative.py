@@ -109,15 +109,17 @@ def ranked_narratives(
     if min_reports < 1:
         raise ValueError(f"min_reports must be >= 1, got {min_reports}")
     best: Dict[Tuple[int, ...], Narrative] = {}
+    # Built once: a resolution makes each PairEvidence when it is read.
+    evidence = list(resolution)
     for level in sorted(set(certainty_levels), reverse=True):
         for cluster in resolution.entities(certainty=level):
             if len(cluster) < min_reports:
                 continue
             key = tuple(sorted(cluster))
             internal = [
-                evidence.ranking_key
-                for evidence in resolution
-                if evidence.pair[0] in cluster and evidence.pair[1] in cluster
+                entry.ranking_key
+                for entry in evidence
+                if entry.pair[0] in cluster and entry.pair[1] in cluster
             ]
             confidence = sum(internal) / len(internal) if internal else 0.0
             profile = merge_entity(len(best), [dataset[rid] for rid in key])

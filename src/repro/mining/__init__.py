@@ -1,4 +1,4 @@
-"""Frequent-itemset mining substrate: FP-tree, FP-Growth, FPMax, pruning."""
+"""Frequent-itemset mining substrate: FP-Growth, FPMax, pruning."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.mining.fpgrowth import (
     maximal_frequent_itemsets,
     maximal_via_filter,
 )
-from repro.mining.fptree import FPNode, FPTree
 from repro.mining.pruning import DEFAULT_PRUNE_FRACTION, prune_frequent_items
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "frequent_itemsets",
     "maximal_frequent_itemsets",
     "maximal_via_filter",
-    "FPNode",
-    "FPTree",
     "DEFAULT_PRUNE_FRACTION",
     "prune_frequent_items",
 ]

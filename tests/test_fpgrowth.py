@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mining.fpgrowth import (
+    _bin_popcount,
+    _columns,
+    _is_single_path,
     _MFIStore,
+    _prefix_nodes,
+    _project,
     frequent_itemsets,
     maximal_frequent_itemsets,
     maximal_via_filter,
@@ -138,6 +144,121 @@ class TestMaximalItemsets:
         result = maximal_frequent_itemsets([{"a", "b"}, {"a", "b"}], 2)
         assert len(result) == 1
         assert len(result[0]) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        transactions_strategy,
+        st.integers(min_value=1, max_value=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_transaction_order_does_not_reach_the_output(
+        self, transactions, minsup, rng
+    ):
+        """Tids number the transactions in list order; permuting the
+        list renumbers every tidset and must leave the MFIs, their
+        supports and their discovery order as they were."""
+        shuffled = list(transactions)
+        rng.shuffle(shuffled)
+        mined = [
+            [(m.items, m.support) for m in maximal_frequent_itemsets(order, minsup)]
+            for order in (transactions, shuffled)
+        ]
+        assert mined[0] == mined[1]
+
+
+def sample_columns():
+    """Three transactions sharing prefixes (items already ordered)."""
+    return _columns([[0, 1, 2], [0, 1], [0, 3]], 4)
+
+
+class TestColumns:
+    """The root database: one tidset per item, bit t for transaction t."""
+
+    def test_empty(self):
+        assert _columns([], 0) == []
+        assert _prefix_nodes([]) == 0
+
+    def test_prefix_sharing(self):
+        # An FP-tree of the sample has nodes 0, 0-1, 0-1-2 and 0-3.
+        assert _prefix_nodes([[0, 1, 2], [0, 1], [0, 3]]) == 4
+        assert _prefix_nodes([[0, 3], [], [0, 1, 2], [0, 1], [0, 1]]) == 4
+
+    def test_item_support(self):
+        assert [support for _, support, _ in sample_columns()] == [3, 2, 1, 1]
+
+    def test_multiplicity(self):
+        assert _columns([[0, 1]] * 5, 2) == [(0, 5, 0b11111), (1, 5, 0b11111)]
+
+    def test_tidsets_mark_every_holder(self):
+        columns = _columns([[0, 1], [1, 2], [2]], 3)
+        assert [tids for _, _, tids in columns] == [0b001, 0b011, 0b110]
+
+
+class TestProject:
+    """A projection is the conditional FP-tree of the item's prefix paths."""
+
+    def test_paths(self):
+        # Item 1's one prefix path is [0] with count 2.
+        assert _project(sample_columns(), 1, 1) == [(0, 2, 0b011)]
+
+    def test_paths_for_leaf(self):
+        assert _project(sample_columns(), 2, 1) == [(0, 1, 0b001), (1, 1, 0b001)]
+
+    def test_top_level_item_empty_path(self):
+        assert _project(sample_columns(), 0, 1) == []
+
+    def test_filters_below_minsup(self):
+        # Item 2's base holds item 0 three times, item 1 only twice.
+        columns = _columns([[0, 1, 2], [0, 1, 2], [0, 2]], 3)
+        assert _project(columns, 2, 3) == [(0, 3, 0b111)]
+
+    def test_keeps_global_order(self):
+        columns = _columns([[0, 2, 3], [2, 3]], 4)
+        assert [item for item, _, _ in _project(columns, 3, 1)] == [0, 2]
+
+    def test_empty_base(self):
+        columns = _columns([[0], [1]], 2)
+        assert _project(columns, 1, 1) == []
+
+
+class TestSinglePath:
+    """A database is one FP-tree chain iff each tidset nests in the last."""
+
+    def test_chain_detected(self):
+        assert _is_single_path(_columns([[0, 1, 2], [0, 1]], 3))
+
+    def test_branching_is_not_a_chain(self):
+        assert not _is_single_path(sample_columns())
+
+    def test_nested_but_out_of_order_is_not_a_chain(self):
+        # Item 1 holds item 0's transaction and one more: two branches.
+        assert not _is_single_path(_columns([[0, 1], [1]], 2))
+
+    def test_empty_tree(self):
+        assert _is_single_path([])
+
+
+class TestPopcount:
+    """``bin(v).count("1")`` stands in for ``int.bit_count`` before 3.10."""
+
+    VALUES = [
+        0,
+        1,
+        *(1 << k for k in (1, 29, 30, 63, 64, 9428)),
+        (1 << 9429) - 1,
+        random.Random(7).getrandbits(9429) | 1 << 9428,
+    ]
+
+    def test_fallback_counts_set_bits(self):
+        assert _bin_popcount(0) == 0
+        for k in (1, 30, 64, 9428):
+            assert _bin_popcount(1 << k) == 1
+            assert _bin_popcount((1 << k) - 1) == k
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="int.bit_count is 3.10+")
+    def test_fallback_matches_int_bit_count(self):
+        for value in self.VALUES:
+            assert _bin_popcount(value) == value.bit_count()
 
 
 item_ids = st.frozensets(st.integers(min_value=0, max_value=9), max_size=6)

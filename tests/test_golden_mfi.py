@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mining.fpgrowth import maximal_frequent_itemsets
+from repro.obs.tracer import Tracer
 from tools.golden_mfi import (
     CASES,
     FIXTURE_DIR,
+    ITALY_MINSUP,
     ITALY_SHA256,
     VOCABULARY_TXT,
+    case_transactions,
     golden_item_bags,
     italy_digest,
+    italy_transactions,
     load_case,
     load_italy_digest,
     load_vocabulary,
@@ -79,3 +84,23 @@ class TestGoldenMFIs:
         count, digest = load_italy_digest()
         assert count == 3977
         assert italy_digest() == (count, digest)
+
+
+def tree_nodes_gauge(transactions, minsup):
+    tracer = Tracer()
+    maximal_frequent_itemsets(transactions, minsup, tracer=tracer)
+    tracer.close()
+    return tracer.aggregate.gauges["fpgrowth.tree_nodes"]
+
+
+class TestTreeNodesGauge:
+    """``fpgrowth.tree_nodes`` keeps the node count of the FP-tree of the
+    encoded transactions, the values the pointer-tree miner reported."""
+
+    @pytest.mark.parametrize("minsup, nodes", [(2, 2493), (5, 1502)])
+    def test_golden_corpus_unpruned(self, item_bags, minsup, nodes):
+        transactions = case_transactions(item_bags, pruned=False)
+        assert tree_nodes_gauge(transactions, minsup) == nodes
+
+    def test_italy_samesrc(self):
+        assert tree_nodes_gauge(italy_transactions(), ITALY_MINSUP) == 17342

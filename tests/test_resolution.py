@@ -7,6 +7,8 @@ import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.resolution import (
     PairEvidence,
@@ -59,6 +61,40 @@ class TestResolutionResult:
         assert len(result) == 4
         assert (1, 2) in result
         assert result[(1, 2)].similarity == 0.9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 12), st.integers(1, 12),
+                st.floats(0.0, 1.0), st.booleans(),
+            ).filter(lambda row: row[0] < row[1]),
+            max_size=40,
+        )
+    )
+    def test_columns_answer_as_a_dict_of_evidence(self, rows):
+        """The columns and the pair-sorted row index give what a dict
+        of the evidence gives: first-seen order, last value per pair, and
+        the ranking by (descending key, pair)."""
+        evidence = [
+            PairEvidence((a, b), similarity, None if flag else similarity / 2, flag)
+            for a, b, similarity, flag in rows
+        ]
+        reference = {entry.pair: entry for entry in evidence}
+        result = ResolutionResult(evidence)
+        assert len(result) == len(reference)
+        assert list(result) == list(reference.values())
+        assert result.pairs == frozenset(reference)
+        for a in range(14):
+            for b in range(a + 1, 14):
+                assert ((a, b) in result) == ((a, b) in reference)
+                if (a, b) in reference:
+                    assert result[(a, b)] == reference[(a, b)]
+        with pytest.raises(KeyError):
+            result[(13, 14)]
+        ranked = sorted(reference.values(), key=lambda e: (-e.ranking_key, e.pair))
+        assert result.ranked() == ranked
+        assert result.resolve(0.25) == [e.pair for e in ranked if e.ranking_key > 0.25]
 
     def test_ranking_key_prefers_confidence(self):
         with_confidence = PairEvidence((1, 2), 0.2, confidence=3.0)

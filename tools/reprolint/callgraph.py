@@ -150,7 +150,7 @@ class CallGraph:
         """Resolve an absolute dotted path to ("function"|"class", qualname).
 
         Splits the dotted path at the longest known module prefix, then
-        follows re-export aliases (``from .fptree import FPTree`` inside
+        follows re-export aliases (``from .fpgrowth import Itemset`` inside
         a package ``__init__``) recursively with a cycle guard.
         """
         seen = _seen if _seen is not None else set()
