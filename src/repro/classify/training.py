@@ -34,10 +34,6 @@ from repro.classify.adtree import ADTreeModel
 from repro.classify.boosting import ADTreeLearner
 from repro.contracts import deterministic, ordered_output, seeded
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.executor import MIN_DISPATCH_PAIRS, Executor
-from repro.parallel.merge import merge_scored_chunks
-from repro.parallel.shared import publish_shared_state
-from repro.parallel.work import classify_pair_chunk
 from repro.records.dataset import Dataset
 from repro.records.itembag import Item
 from repro.records.schema import VictimRecord
@@ -264,60 +260,20 @@ class PairClassifier:
         ]
 
     @ordered_output
-    def rank(
-        self,
-        pairs: Iterable[Pair],
-        executor: Optional[Executor] = None,
-    ) -> List[Tuple[Pair, float]]:
+    def rank(self, pairs: Iterable[Pair]) -> List[Tuple[Pair, float]]:
         """Pairs sorted by descending confidence — the ranked resolution.
 
-        Serially the scores come from :meth:`confidences`. With a
-        parallel ``executor`` and at least :data:`MIN_DISPATCH_PAIRS`
-        unique pairs, the dataset and model are published once and
-        chunks of ``(handle.ref, pairs)`` are scored by
-        :func:`classify_pair_chunk` in workers. The final sort imposes
-        the canonical order either way, so output is byte-identical
-        across worker counts (docs/PARALLELISM.md).
+        The scores come from :meth:`confidences` in this process under
+        every executor; the sort imposes the canonical order.
         """
         with self.tracer.span("classify.rank"):
             unique = sorted(set(pairs))
             scored: List[Tuple[Pair, float]] = []
             if unique:
-                if (
-                    executor is not None
-                    and executor.parallel
-                    and len(unique) >= MIN_DISPATCH_PAIRS
-                ):
-                    scored = list(self._rank_parallel(unique, executor).items())
-                else:
-                    scored = list(zip(unique, self.confidences(unique)))
+                scored = list(zip(unique, self.confidences(unique)))
                 scored.sort(key=lambda kv: (-kv[1], kv[0]))
         self.tracer.count("classify.pairs_scored", len(scored))
         return scored
-
-    def _rank_parallel(
-        self,
-        unique: List[Pair],
-        executor: Executor,
-    ) -> Dict[Pair, float]:
-        """Score rank chunks in workers against one publication."""
-        with publish_shared_state(
-            dataset=self.dataset,
-            model=self._require_model(),
-            feature_names=self.feature_names,
-        ) as handle:
-            return merge_scored_chunks(
-                executor.map_chunks(
-                    classify_pair_chunk,
-                    [
-                        (handle.ref, chunk)
-                        for chunk in executor.plan_chunks(unique)
-                    ],
-                    tracer=self.tracer,
-                    label="classify.score_pairs",
-                    shared=handle,
-                )
-            )
 
     def filter_matches(
         self, pairs: Iterable[Pair], threshold: float = 0.0

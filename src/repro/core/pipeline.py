@@ -327,7 +327,7 @@ class UncertainERPipeline:
                             "or labeled_pairs"
                         )
                     classifier = self.train_classifier(dataset, labeled_pairs)
-                scored = classifier.rank(state.pairs, executor=self.executor)
+                scored = classifier.rank(state.pairs)
                 filtered = [
                     pair for pair, score in scored
                     if score > config.classifier_threshold

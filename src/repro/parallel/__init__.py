@@ -1,5 +1,7 @@
-"""Deterministic parallel execution for blocking and pairwise scoring.
+"""Deterministic parallel execution for blocking pair scoring.
 
+One scoring dispatch reaches the pool, ``mfiblocks.score_pairs``;
+mining and the classifier's ranking run serially under every executor.
 The layer has five small parts (full design in ``docs/PARALLELISM.md``):
 
 * **chunking** (:mod:`repro.parallel.chunking`) — pure partition
@@ -10,10 +12,10 @@ The layer has five small parts (full design in ``docs/PARALLELISM.md``):
   and deterministic in-process retry of chunks lost to a worker crash;
 * **merges** (:mod:`repro.parallel.merge`) — order-independent folds of
   chunk results (max per canonical pair key);
-* **work functions** (:mod:`repro.parallel.work`) — module-level,
-  picklable, argument-determined chunk bodies, one per job, plus the
-  one worker entry :func:`run_chunk` every dispatched chunk runs
-  through;
+* **work functions** (:mod:`repro.parallel.work`) — the module-level,
+  picklable, argument-determined chunk body :func:`score_pair_chunk`,
+  plus the one worker entry :func:`run_chunk` every dispatched chunk
+  runs through;
 * **shared state** (:mod:`repro.parallel.shared`) — read-only objects
   published once per run and referenced from ``(ref, pairs)``
   payloads.
@@ -35,14 +37,14 @@ from repro.parallel.executor import (
     SerialExecutor,
     make_executor,
 )
-from repro.parallel.merge import max_merge_into, merge_scored_chunks
+from repro.parallel.merge import max_merge_into
 from repro.parallel.shared import (
     SharedStateHandle,
     publish_shared_state,
     shared_generation,
     shared_state,
 )
-from repro.parallel.work import classify_pair_chunk, run_chunk, score_pair_chunk
+from repro.parallel.work import run_chunk, score_pair_chunk
 
 __all__ = [
     "AdversarialScheduleExecutor",
@@ -54,12 +56,10 @@ __all__ = [
     "SerialExecutor",
     "make_executor",
     "max_merge_into",
-    "merge_scored_chunks",
     "SharedStateHandle",
     "publish_shared_state",
     "shared_generation",
     "shared_state",
-    "classify_pair_chunk",
     "run_chunk",
     "score_pair_chunk",
 ]

@@ -1,9 +1,9 @@
 """Executors: serial and process-pool dispatch of chunked work.
 
-The pipeline's dispatched hot paths (pairwise block scoring and
-classifier ranking) are embarrassingly parallel; what they must never be is
-*schedule-dependent*. The contract here is determinism **by merge, not
-by schedule** (``docs/PARALLELISM.md``):
+The pipeline's one dispatched hot path, pairwise block scoring, is
+embarrassingly parallel; what it must never be is *schedule-dependent*.
+The contract here is determinism **by merge, not by schedule**
+(``docs/PARALLELISM.md``):
 
 * chunk plans come from :mod:`repro.parallel.chunking` and are pure
   functions of the work list;
@@ -637,14 +637,10 @@ def make_executor(
     workers: int,
     chunk_size: Optional[int] = None,
     profile_memory: bool = False,
-    timeout: Optional[float] = None,
 ) -> Executor:
     """The executor for a ``--workers N`` request (serial when N <= 1)."""
     if workers <= 1:
         return SerialExecutor(chunk_size=chunk_size)
     return MultiprocessExecutor(
-        workers,
-        chunk_size=chunk_size,
-        profile_memory=profile_memory,
-        timeout=timeout,
+        workers, chunk_size=chunk_size, profile_memory=profile_memory
     )

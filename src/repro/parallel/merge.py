@@ -11,19 +11,19 @@ so the parallel path computes the *same function*, not an approximation.
 
 One caveat the callers must own: a merged ``dict`` carries an insertion
 order that *does* depend on arrival order. Mapping equality is
-order-insensitive, and every consumer in this codebase sorts before
-producing ordered output (``BlockingResult.ranked_pairs``,
-``PairClassifier.rank``), which is what makes ranked output byte-
-identical across worker counts. See ``docs/PARALLELISM.md``.
+order-insensitive, and the one consumer in this codebase, MFIBlocks'
+pair scoring, sorts before producing ordered output
+(``BlockingResult.ranked_pairs``), which is what makes ranked output
+byte-identical across worker counts. See ``docs/PARALLELISM.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple, TypeVar
+from typing import Dict, Hashable, Iterable, Tuple, TypeVar
 
 from repro.contracts import commutative_merge, deterministic
 
-__all__ = ["merge_scored_chunks", "max_merge_into"]
+__all__ = ["max_merge_into"]
 
 K = TypeVar("K", bound=Hashable)
 
@@ -43,15 +43,3 @@ def max_merge_into(
         if current is None or score > current:
             target[key] = score
     return target
-
-
-@commutative_merge
-@deterministic
-def merge_scored_chunks(
-    chunks: Iterable[List[Tuple[K, float]]]
-) -> Dict[K, float]:
-    """Fold scored chunks into one mapping, keeping the max per key."""
-    merged: Dict[K, float] = {}
-    for chunk in chunks:
-        max_merge_into(merged, chunk)
-    return merged

@@ -1,8 +1,8 @@
 """Shared worker state: publish heavy read-only objects once per run.
 
-The pair-scoring jobs need a large read-only context in every chunk —
-the scorer plus the interned corpus, or the dataset plus a trained
-model. Pickling that context into every chunk payload costs tens of
+The one scoring dispatch, ``mfiblocks.score_pairs``, needs a large
+read-only context in every chunk: the scorer plus the interned corpus.
+Pickling that context into every chunk payload costs tens of
 milliseconds per chunk, so the parent publishes it once instead, and
 every start method takes the same route:
 
@@ -25,9 +25,9 @@ every start method takes the same route:
 
 Ownership: the handle owns its registry entry — ``close()`` removes it
 and bumps the generation. The published objects themselves are never
-copied or rebound. Handles are context managers; the blocking/classify
-callers publish in a ``with`` block (or ``try/finally``) around
-dispatch.
+copied or rebound. Handles are context managers; the blocking caller
+publishes before its dispatches and closes the handle in a
+``try/finally``.
 
 Workers treat the registry as frozen: work functions that read it are
 ``@shared_readonly`` and never write. Only the parent mutates it, in

@@ -12,11 +12,11 @@ A worker shares nothing with the parent but the pickled payload and
 the shared-state registry snapshot it adopted at pool start: no
 tracer, no caches, no ambient state. Each work function is therefore
 argument-determined — the property that makes a chunk's result
-identical wherever it runs (``docs/PARALLELISM.md``). The pair-scoring functions take a
+identical wherever it runs (``docs/PARALLELISM.md``). The one scoring
+dispatch, ``mfiblocks.score_pairs``, runs :func:`score_pair_chunk` on a
 ``(ref, pairs)`` payload: ``ref`` resolves through
 :func:`~repro.parallel.shared.shared_state` to the published scorer and
-corpus (or dataset, model and feature names), and scoring runs on the
-batch kernels.
+corpus, and scoring runs on the batch kernels.
 """
 
 from __future__ import annotations
@@ -44,17 +44,13 @@ from repro.obs.worker import (
     WorkerTracer,
 )
 from repro.parallel.shared import shared_state
-from repro.similarity.features import extract_features_batch
 
 if TYPE_CHECKING:
     from repro.blocking.scoring import BlockScorer
-    from repro.classify.adtree import ADTreeModel
-    from repro.records.dataset import Dataset
     from repro.similarity.interning import InternedCorpus
 
 __all__ = [
     "score_pair_chunk",
-    "classify_pair_chunk",
     "run_chunk",
 ]
 
@@ -85,29 +81,6 @@ def score_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
     corpus: "InternedCorpus" = state["corpus"]
     scores = scorer.pair_similarity_batch(corpus, pairs)
     return list(zip(pairs, scores))
-
-
-@picklable_work
-@fork_safe
-@shared_readonly
-def classify_pair_chunk(payload: PairChunk) -> List[Tuple[Pair, float]]:
-    """ADTree confidences for one chunk of candidate pairs.
-
-    Dataset, model and feature-name subset come from the published
-    shared state. The chunk's pairs are extracted into one feature
-    matrix and scored by ``ADTreeModel.score_matrix``, as
-    ``PairClassifier.confidences`` does serially (``classify.training``
-    imports this module, not the reverse); a row's score does not
-    depend on the other rows, so the confidences match the serial rank
-    exactly.
-    """
-    ref, pairs = payload
-    state = shared_state(ref)
-    dataset: "Dataset" = state["dataset"]
-    model: "ADTreeModel" = state["model"]
-    feature_names: Optional[Tuple[str, ...]] = state["feature_names"]
-    matrix = extract_features_batch(dataset, pairs, names=feature_names)
-    return list(zip(pairs, model.score_matrix(matrix).tolist()))
 
 
 @picklable_work

@@ -20,14 +20,15 @@ oracle and a sweep of cells that must render the same ranked text:
     permutes chunk execution order per ``(schedule seed, dispatch)``,
     for every seed × worker count, plus a :class:`~repro.obs.Tracer` on
     at workers 1 and 2 (tracing must not change what it measures). A
-    second gate, ``schedule-classify``, compares the classified serial
-    run with one hostile classified cell per seed, attacking the
-    classifier's rank merge. A third, ``schedule-expertsim``, does the
-    same for the Eq.-1 ExpertSim scorer, whose greedy claim loop is the
-    order-sensitive kernel the pair-table fill dispatches. A sweep in
-    which a scoring merge (:data:`SCORING_DISPATCHES`, and the
-    ExpertSim fill, :data:`EXPERTSIM_DISPATCH`) never ran in a hostile
-    order proves nothing about it, so it exits 2 instead of passing.
+    second gate, ``schedule-expertsim``, compares the Eq.-1 ExpertSim
+    serial run with one hostile ExpertSim cell per seed: its greedy
+    claim loop is the order-sensitive kernel the pair-table fill
+    dispatches. There is one scoring dispatch, MFIBlocks' pair scoring
+    (:data:`SCORING_DISPATCHES`; the classifier ranks serially under
+    every executor), so the two gates attack its max-merge under both
+    scorers. A sweep in which that merge, or its ExpertSim fill
+    (:data:`EXPERTSIM_DISPATCH`), never ran in a hostile order proves
+    nothing about it, so it exits 2 instead of passing.
 
 Both resolve the fixed gate corpus; only ``--persons`` sizes it. Exit
 codes are the harness's: 0 every gate held, 1 an invariant failed, 2 bad
@@ -41,8 +42,9 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.gates import (
     Gate,
@@ -57,9 +59,6 @@ from repro.gates import (
     run_gates,
 )
 
-if TYPE_CHECKING:
-    from repro.core.resolution import Pair
-
 __all__ = [
     "EXPERTSIM_DISPATCH",
     "EXPERTSIM_SUFFIX",
@@ -73,10 +72,10 @@ __all__ = [
     "subprocess_runner",
 ]
 
-#: The merges the schedule sweep exists to attack: MFIBlocks' pair-
-#: scoring max-merge and the classifier's rank merge. Pair lists below
-#: the executor's dispatch threshold are scored inline, out of reach.
-SCORING_DISPATCHES = ("mfiblocks.score_pairs", "classify.score_pairs")
+#: The merge the schedule sweep exists to attack: MFIBlocks' pair-
+#: scoring max-merge, the one scoring dispatch. Pair lists below the
+#: executor's dispatch threshold are scored inline, out of reach.
+SCORING_DISPATCHES = ("mfiblocks.score_pairs",)
 
 #: Dispatch labels of an ``expert_sim`` cell carry this suffix, so the
 #: vacuity check can tell the ExpertSim pair-table fill apart.
@@ -103,7 +102,6 @@ class Cell:
     seed: Optional[int] = None
     workers: int = 1
     traced: bool = False
-    classify: bool = False
     expert_sim: bool = False
 
 
@@ -112,17 +110,14 @@ Runner = Callable[[Cell], str]
 
 
 def resolve_cell(
-    persons: int,
-    cell: Cell,
-    labels: Optional[Dict[Pair, bool]] = None,
-    shuffled: Optional[Set[str]] = None,
+    persons: int, cell: Cell, shuffled: Optional[Set[str]] = None
 ) -> str:
     """Resolve the gate corpus in this process as ``cell`` says.
 
-    ``labels`` train the classifier of a ``classify`` cell. ``shuffled``
-    collects the label of every adversarial dispatch that had two or
-    more chunks — the merges that really saw a hostile order — with
-    :data:`EXPERTSIM_SUFFIX` appended for an ``expert_sim`` cell.
+    ``shuffled`` collects the label of every adversarial dispatch that
+    had two or more chunks — the merges that really saw a hostile
+    order — with :data:`EXPERTSIM_SUFFIX` appended for an
+    ``expert_sim`` cell.
     """
     from repro.core import UncertainERPipeline
     from repro.obs import Tracer
@@ -134,11 +129,11 @@ def resolve_cell(
     )
     tracer = Tracer() if cell.traced else None
     pipeline = UncertainERPipeline(
-        pipeline_config(classify=cell.classify, expert_sim=cell.expert_sim),
+        pipeline_config(expert_sim=cell.expert_sim),
         tracer=tracer, executor=executor,
     )
     try:
-        resolution = pipeline.run(build_dataset(persons), labeled_pairs=labels)
+        resolution = pipeline.run(build_dataset(persons))
     finally:
         executor.close()
         if tracer is not None:
@@ -196,25 +191,8 @@ def subprocess_runner(config: GateConfig) -> Runner:
 def inprocess_runner(
     persons: int, shuffled: Optional[Set[str]] = None
 ) -> Runner:
-    """Resolve each cell in-process; a ``classify`` cell trains on
-    ExpertTagger labels from one serial blocking pass, shared by the
-    whole sweep."""
-    labels: Dict[Pair, bool] = {}
-
-    def run(cell: Cell) -> str:
-        if cell.classify and not labels:
-            from repro.core import UncertainERPipeline
-            from repro.datagen import ExpertTagger, simplify_tags
-
-            dataset = build_dataset(persons)
-            blocking = UncertainERPipeline(pipeline_config()).block(dataset)
-            tagged = ExpertTagger(dataset).tag_pairs(blocking.candidate_pairs)
-            labels.update(simplify_tags(tagged, maybe_as=None))
-        return resolve_cell(
-            persons, cell, labels if cell.classify else None, shuffled
-        )
-
-    return run
+    """Resolve each cell in-process through :func:`resolve_cell`."""
+    return partial(resolve_cell, persons, shuffled=shuffled)
 
 
 def _sweep(
@@ -247,9 +225,8 @@ def hash_seed_gate(
 
 def schedule_gates(config: GateConfig, runner: Runner) -> List[Gate]:
     """The serial oracle against every hostile seed × worker count cell
-    and the traced cells; the classified and the ExpertSim serial
-    oracles each against one hostile cell of their kind per seed, at
-    the widest worker count."""
+    and the traced cells; the ExpertSim serial oracle against one
+    hostile ExpertSim cell per seed, at the widest worker count."""
     widest = max(config.workers)
     return [
         _sweep("schedule", runner, [("serial", Cell())] + [
@@ -258,13 +235,6 @@ def schedule_gates(config: GateConfig, runner: Runner) -> List[Gate]:
         ] + [
             (f"traced workers={workers}", Cell(workers=workers, traced=True))
             for workers in TRACED_WORKERS
-        ]),
-        _sweep("schedule-classify", runner, [
-            ("classified serial", Cell(classify=True)),
-        ] + [
-            (f"classified schedule_seed={seed} workers={widest}",
-             Cell(seed, widest, classify=True))
-            for seed in config.seeds
         ]),
         _sweep("schedule-expertsim", runner, [
             ("expertsim serial", Cell(expert_sim=True)),

@@ -7,7 +7,6 @@ import contextlib
 import pytest
 
 from repro.blocking import mfiblocks
-from repro.classify import training
 from repro.datagen import build_corpus
 from repro.evaluation import GoldStandard
 from repro.geo import GeoPoint
@@ -25,15 +24,14 @@ from repro.records.schema import (
 def scoring_dispatch_floor():
     """Dispatch every non-empty scored pair list.
 
-    Lowers ``MIN_DISPATCH_PAIRS`` (512 in production) to 1 where the two
-    scoring dispatches read it, ``mfiblocks.score_pairs`` and
-    ``classify.score_pairs``, so a test corpus far below the production
-    floor still sends its scoring through a parallel executor's pool.
-    Where the work runs never changes the ranked bytes.
+    Lowers ``MIN_DISPATCH_PAIRS`` (512 in production) to 1 where the one
+    scoring dispatch, ``mfiblocks.score_pairs``, reads it, so a test
+    corpus far below the production floor still sends its scoring
+    through a parallel executor's pool. Where the work runs never
+    changes the ranked bytes.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mfiblocks, "MIN_DISPATCH_PAIRS", 1)
-        patch.setattr(training, "MIN_DISPATCH_PAIRS", 1)
         yield
 
 

@@ -303,19 +303,39 @@ class TestResolutionParity:
         # The run really went through the pool, not a serial fallback.
         assert executor.stats.worker_chunks > 0
 
-    def test_classifier_ranking_parity(self, corpora):
+    @pytest.mark.usefixtures("dispatch_small_scoring")
+    def test_classified_run_ranks_serially_under_a_pool(
+        self, corpora, tmp_path
+    ):
+        """Only blocking's pair scoring reaches the pool: a classified
+        2-worker run returns the serial CSV, and its traced profile
+        lists no dispatch but ``mfiblocks.score_pairs``."""
         dataset = corpora[24]
-        pipeline = UncertainERPipeline(PipelineConfig(**CONFIG))
-        pairs = sorted(pipeline.block(dataset).candidate_pairs)
+        config = PipelineConfig(**CONFIG, classify=True)
+        blocking = UncertainERPipeline(config).block(dataset)
         labels = simplify_tags(
-            ExpertTagger(dataset, seed=9).tag_pairs(pairs), maybe_as=False
+            ExpertTagger(dataset, seed=9).tag_pairs(
+                sorted(blocking.candidate_pairs)
+            ),
+            maybe_as=False,
         )
-        classifier = pipeline.train_classifier(dataset, labels)
-        serial = classifier.rank(pairs)
-        for workers in (2, 4):
-            assert classifier.rank(
-                pairs, executor=MultiprocessExecutor(workers)
-            ) == serial
+        csv, profile = {}, {}
+        for workers in (1, 2):
+            executor = make_executor(workers)
+            tracer = Tracer()
+            resolution = UncertainERPipeline(
+                config, tracer=tracer, executor=executor
+            ).run(dataset, labeled_pairs=labels)
+            tracer.close()
+            executor.close()
+            out = tmp_path / f"w{workers}.csv"
+            resolution.to_csv(out)
+            csv[workers] = out.read_bytes()
+            profile[workers] = resolution.report.parallel_profile
+        assert csv[2] == csv[1]
+        assert {
+            dispatch["label"] for dispatch in profile[2]["dispatches"]
+        } == {"mfiblocks.score_pairs"}
 
     @pytest.mark.usefixtures("dispatch_small_scoring")
     def test_worker_crash_resolution_parity(

@@ -500,14 +500,13 @@ class TestRepoSweep:
 
     def test_repo_work_functions_carry_parallel_contracts(self):
         from repro.contracts import contracts_of
-        from repro.parallel.merge import max_merge_into, merge_scored_chunks
-        from repro.parallel.work import classify_pair_chunk, score_pair_chunk
+        from repro.parallel.merge import max_merge_into
+        from repro.parallel.work import score_pair_chunk
 
-        for work in (score_pair_chunk, classify_pair_chunk):
-            kinds = set(contracts_of(work))
-            assert {"picklable_work", "fork_safe"} <= kinds
-        for merge in (max_merge_into, merge_scored_chunks):
-            assert "commutative_merge" in contracts_of(merge)
+        assert {"picklable_work", "fork_safe"} <= set(
+            contracts_of(score_pair_chunk)
+        )
+        assert "commutative_merge" in contracts_of(max_merge_into)
 
 
 class TestCallGraphEdges:
@@ -572,16 +571,19 @@ class TestCallGraphEdges:
                 f"src/repro/parallel/{name}",
                 (package / name).read_text(encoding="utf-8"),
             )
-            for name in ("__init__.py", "merge.py")
+            for name in ("__init__.py", "merge.py", "work.py")
         ]
         caller = textwrap.dedent(
             """
-            from repro.parallel import merge_scored_chunks
+            from repro.parallel import max_merge_into, score_pair_chunk
 
-            def combine(chunks):
-                return merge_scored_chunks(chunks)
+            def combine(target, payload):
+                return max_merge_into(target, score_pair_chunk(payload))
             """
         )
         graph = build_call_graph(sources + [("src/repro/uses.py", caller)])
         callees = {callee for callee, _ in graph.callees("repro.uses:combine")}
-        assert "repro.parallel.merge:merge_scored_chunks" in callees
+        assert {
+            "repro.parallel.merge:max_merge_into",
+            "repro.parallel.work:score_pair_chunk",
+        } <= callees

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from repro.blocking.scoring import BlockScorer, SparseNeighborhoodFilter, neighborhood_cap
 from repro.core.resolution import PairEvidence, ResolutionResult, connected_components
 from repro.mining.fpgrowth import maximal_frequent_itemsets
-from repro.parallel import (
-    fixed_chunks,
-    max_merge_into,
-    merge_scored_chunks,
-    partition_evenly,
-)
+from repro.parallel import fixed_chunks, max_merge_into, partition_evenly
 from repro.records.itembag import Item, ItemType
 from repro.similarity.items import jaccard_items, soft_jaccard_items, weighted_jaccard_items
 
@@ -202,21 +197,14 @@ class TestChunkingInvariants:
 
 class TestMergeInvariants:
     @given(scored_chunks, seeds)
-    def test_merge_scored_chunks_ignores_order(self, chunks, seed):
-        merged = merge_scored_chunks(chunks)
-        assert merge_scored_chunks(_shuffled(chunks, seed)) == merged
-        flat = [entry for chunk in chunks for entry in chunk]
-        assert set(merged) == {key for key, _ in flat}
-        for key, score in merged.items():
-            assert score == max(s for k, s in flat if k == key)
-
-    @given(scored_chunks, seeds)
     def test_max_merge_into_ignores_call_grouping(self, chunks, seed):
+        flat = [entry for chunk in chunks for entry in chunk]
         one_call: dict = {}
-        max_merge_into(
-            one_call, [entry for chunk in chunks for entry in chunk]
-        )
+        max_merge_into(one_call, flat)
         incremental: dict = {}
         for chunk in _shuffled(chunks, seed):
             assert max_merge_into(incremental, chunk) is incremental
         assert incremental == one_call
+        assert set(one_call) == {key for key, _ in flat}
+        for key, score in one_call.items():
+            assert score == max(s for k, s in flat if k == key)

@@ -6,7 +6,7 @@ gates build their cells (through a fake runner; the compare/diff/exit
 loop is the shared harness's, tests/test_gates.py), and one small
 in-process end-to-end run proving the real pipeline stays
 byte-identical under hostile schedules, with tracing on, and through
-the classifier's rank merge.
+the ExpertSim pair-table fill.
 """
 
 from __future__ import annotations
@@ -151,25 +151,21 @@ class TestRunScheduleSanitizeWithFakeRunner:
             return "header\nrow\n"
 
         config = GateConfig(seeds=(1, 2), workers=(1, 2))
-        plain, classified, expertsim = run_schedule(config, runner, tmp_path)
-        assert plain.ok and classified.ok and expertsim.ok
+        plain, expertsim = run_schedule(config, runner, tmp_path)
+        assert plain.ok and expertsim.ok
         assert plain.diff is None
         # Serial oracle first, then the seed x workers matrix, then the
-        # traced cells; the classified and the ExpertSim gates' oracles,
-        # each followed by one hostile cell of their kind per seed at
-        # the widest worker count.
+        # traced cells; the ExpertSim gate's oracle, followed by one
+        # hostile ExpertSim cell per seed at the widest worker count.
         assert calls == [
             Cell(), Cell(1, 1), Cell(1, 2), Cell(2, 1), Cell(2, 2),
             Cell(None, 1, traced=True), Cell(None, 2, traced=True),
-            Cell(classify=True), Cell(1, 2, classify=True),
-            Cell(2, 2, classify=True),
             Cell(expert_sim=True), Cell(1, 2, expert_sim=True),
             Cell(2, 2, expert_sim=True),
         ]
         assert [r.label for r in plain.runs][-2:] == [
             "traced workers=1", "traced workers=2"
         ]
-        assert classified.oracle == "classified serial"
         assert expertsim.oracle == "expertsim serial"
 
     def test_divergent_cell_detected_with_diff(self, tmp_path):
@@ -179,16 +175,13 @@ class TestRunScheduleSanitizeWithFakeRunner:
             return "header\nrow\n"
 
         config = GateConfig(seeds=(1, 2), workers=(1, 4))
-        plain, classified, expertsim = run_schedule(config, runner, tmp_path)
+        plain, expertsim = run_schedule(config, runner, tmp_path)
         assert [r.label for r in plain.runs if not r.ok] == [
             "schedule_seed=2 workers=4"
         ]
         assert "--- serial" in plain.diff
         assert "+++ schedule_seed=2 workers=4" in plain.diff
         assert "+other" in plain.diff
-        assert [r.label for r in classified.runs if not r.ok] == [
-            "classified schedule_seed=2 workers=4"
-        ]
         assert [r.label for r in expertsim.runs if not r.ok] == [
             "expertsim schedule_seed=2 workers=4"
         ]
@@ -198,7 +191,7 @@ class TestRunScheduleSanitizeWithFakeRunner:
             return "base\n" if cell.seed is None else f"seed{cell.seed}\n"
 
         config = GateConfig(seeds=(1, 2), workers=(1,))
-        plain, _, _ = run_schedule(config, runner, tmp_path)
+        plain, _ = run_schedule(config, runner, tmp_path)
         assert [r.status for r in plain.runs] == [
             "DIVERGED", "DIVERGED", "identical", "identical"
         ]
@@ -231,19 +224,16 @@ class TestEndToEnd:
         # matrix runs in CI via `repro sanitize --schedule`.
         config = GateConfig(persons=120, seeds=(1,), workers=(1, 2))
         shuffled = set()
-        plain, classified, expertsim = run_schedule(
+        plain, expertsim = run_schedule(
             config, inprocess_runner(config.persons, shuffled), tmp_path
         )
         assert plain.ok, plain.diff
-        assert classified.ok, classified.diff
         assert expertsim.ok, expertsim.diff
         assert plain.text.startswith(
             "book_id_a,book_id_b,similarity,confidence\n"
         )
-        # Two hostile cells and the two traced cells; one classified,
-        # one ExpertSim.
+        # Two hostile cells and the two traced cells; one ExpertSim.
         assert len(plain.runs) == 4
-        assert len(classified.runs) == 1
         assert len(expertsim.runs) == 1
         # Every scoring merge really ran in a hostile order — the
         # ExpertSim pair-table fill included.

@@ -1,12 +1,12 @@
 """Unit tests for the shared worker state layer.
 
-``repro.parallel.shared`` publishes heavy read-only objects (scorer,
-interned corpus, dataset, model) once per run; work functions resolve
+``repro.parallel.shared`` publishes heavy read-only objects (the
+scorer and interned corpus) once per run; the work function resolves
 the handle's ``ref`` — a token into the registry each pool worker
 adopts at start — instead of unpickling a corpus per chunk. These tests
 pin the lifecycle (publish / resolve / close / generation), that
 publication never copies or rebinds the published objects, the work
-functions' parity with the per-pair scalar oracles, a real spawn pool,
+function's parity with the per-pair scalar oracle, a real spawn pool,
 and the executor's warm-pool behavior around generation changes.
 """
 
@@ -28,8 +28,7 @@ from repro.parallel.shared import (
     shared_state,
     worker_context,
 )
-from repro.parallel.work import classify_pair_chunk, score_pair_chunk
-from repro.similarity.features import extract_features
+from repro.parallel.work import score_pair_chunk
 from repro.similarity.interning import InternedCorpus
 
 
@@ -137,25 +136,6 @@ class TestSharedWorkFunctions:
             chunk = score_pair_chunk((handle.ref, pairs))
         oracle = [
             ((a, b), scorer.pair_similarity(bags[a], bags[b]))
-            for a, b in pairs
-        ]
-        assert chunk == oracle
-
-    def test_classify_chunk_parity(self, small_corpus):
-        from repro.classify.training import PairClassifier
-
-        dataset, _persons = small_corpus
-        rids = sorted(dataset.record_ids)[:20]
-        pairs = [(rids[i], rids[i + 1]) for i in range(len(rids) - 1)]
-        labels = {pair: index % 2 == 0 for index, pair in enumerate(pairs)}
-        classifier = PairClassifier(dataset).fit(labels)
-        model = classifier.model
-        with publish_shared_state(
-            dataset=dataset, model=model, feature_names=None
-        ) as handle:
-            chunk = classify_pair_chunk((handle.ref, pairs))
-        oracle = [
-            ((a, b), model.score(extract_features(dataset[a], dataset[b])))
             for a, b in pairs
         ]
         assert chunk == oracle
