@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.blocking.base import Block, BlockingAlgorithm, BlockingResult
 from repro.blocking.baselines.common import KeyedBlocking, blocks_from_keys
@@ -141,9 +141,10 @@ class AttributeClustering(BlockingAlgorithm):
         self, dataset: Dataset
     ) -> Dict[Tuple[ItemType, str], int]:
         """Greedy per-type clustering of attribute values."""
-        by_type: Dict[ItemType, List[str]] = {}
-        for item in dataset.item_index:
-            by_type.setdefault(item.type, []).append(item.value)
+        by_type: Dict[ItemType, Set[str]] = {}
+        for bag in dataset.item_bags.values():
+            for item in bag:
+                by_type.setdefault(item.type, set()).add(item.value)
         cluster_of: Dict[Tuple[ItemType, str], int] = {}
         next_cluster = 0
         for item_type in sorted(by_type, key=lambda t: t.prefix):

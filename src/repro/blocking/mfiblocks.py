@@ -56,6 +56,21 @@ def _pair_count(
     return sum(len(records) * (len(records) - 1) // 2 for records, _, _ in blocks)
 
 
+@pure
+def _records_of(tidset: int, uncovered: List[int]) -> FrozenSet[int]:
+    """FindSupport (Algorithm 1, line 7): the records an MFI's tidset holds.
+
+    The miner returns each MFI's support set as a tidset over the mined
+    transactions, and transaction *t* is the item bag of ``uncovered[t]``.
+    """
+    records: List[int] = []
+    while tidset:
+        lowest = tidset & -tidset
+        records.append(uncovered[lowest.bit_length() - 1])
+        tidset ^= lowest
+    return frozenset(records)
+
+
 @dataclass
 class MFIBlocksConfig:
     """Tuning knobs of Algorithm 1 (Section 6.5's configurable options).
@@ -234,20 +249,18 @@ class MFIBlocks(BlockingAlgorithm):
         # batch-throughput lane of benchmarks/bench_parallel.py is
         # mfiblocks.pairs_scored / this span's seconds).
         with tracer.span("mfiblocks.support", minsup=minsup):
-            index = self._index_for(uncovered, item_bags)
             max_size = int(minsup * config.ng)
             candidates: List[Tuple[FrozenSet[int], FrozenSet[Item]]] = []
-            seen_supports: Set[FrozenSet[int]] = set()
+            seen_tidsets: Set[int] = set()
             rejected_size = 0
             for mfi in mfis:
-                support = self._find_support(mfi.items, index)
-                if not config.min_block_size <= len(support) <= max_size:
+                if not config.min_block_size <= mfi.support <= max_size:
                     rejected_size += 1
                     continue
-                if support in seen_supports:
+                if mfi.tidset in seen_tidsets:
                     continue  # distinct MFIs can share a support set
-                seen_supports.add(support)
-                candidates.append((support, mfi.items))
+                seen_tidsets.add(mfi.tidset)
+                candidates.append((_records_of(mfi.tidset, uncovered), mfi.items))
         with tracer.span("mfiblocks.score", minsup=minsup):
             blocks = [sorted(support) for support, _key in candidates]
             self._fill_table(blocks, corpus, table, handle)
@@ -265,35 +278,6 @@ class MFIBlocks(BlockingAlgorithm):
         tracer.count("mfiblocks.pairs_pre_cs_sn", _pair_count(scored))
         tracer.count("mfiblocks.pairs_post_cs_sn", _pair_count(admitted))
         return admitted
-
-    @staticmethod
-    def _index_for(
-        uncovered: List[int], item_bags: Dict[int, FrozenSet[Item]]
-    ) -> Dict[Item, Set[int]]:
-        """Inverted index restricted to the uncovered records."""
-        index: Dict[Item, Set[int]] = {}
-        for rid in uncovered:
-            for item in item_bags[rid]:
-                index.setdefault(item, set()).add(rid)
-        return index
-
-    @staticmethod
-    @pure
-    def _find_support(
-        items: FrozenSet[Item], index: Dict[Item, Set[int]]
-    ) -> FrozenSet[int]:
-        """FindSupport (Algorithm 1, line 7): records containing all items."""
-        if not items:
-            return frozenset()
-        postings = sorted(
-            (index.get(item, set()) for item in items), key=len
-        )
-        support = set(postings[0])
-        for posting in postings[1:]:
-            support &= posting
-            if not support:
-                break
-        return frozenset(support)
 
     @staticmethod
     def _unique_pairs(

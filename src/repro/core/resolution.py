@@ -208,7 +208,8 @@ class ResolutionResult:
         """The ``k`` highest-ranked pairs."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        return self.ranked()[:k]
+        rows, _keys = self._ranked_rows()
+        return list(map(self._evidence_at, rows[:k]))
 
     def resolve(self, certainty: float = 0.0) -> List[Pair]:
         """Certainty-threshold query: pairs ranking strictly above it.

@@ -23,8 +23,10 @@ popcounts; and the tree is a single path exactly when every item's
 tidset sits inside the tidset of the item before it. The loop visits
 the items highest id first, as it visited a tree's items, and that
 order depends only on the item set, so the MFIs, their supports, the
-discovery order and every budget charge are the FP-tree miner's; tid
-numbering never reaches the output.
+discovery order and every budget charge are the FP-tree miner's. The
+tidsets leave the miner as each :class:`Itemset`'s support set
+(``tidset``, bit *t* for input transaction *t*); tid numbering decides
+which bits are set, never what is found or in which order.
 
 Subsumption is the miner's inner test, and two choices keep it cheap.
 Found MFIs are indexed by posting *bitsets* — one Python ``int`` per
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
     AbstractSet,
@@ -89,10 +91,16 @@ else:  # about 20x slower, still exact
 
 @dataclass(frozen=True)
 class Itemset(Generic[T]):
-    """A mined itemset with its support count."""
+    """A mined itemset with its support count and support set.
+
+    ``tidset`` is the support set as an ``int`` whose bit *t* is set
+    when input transaction *t* holds every item, so ``support`` is its
+    popcount. It is output only: equality and ``repr`` ignore it.
+    """
 
     items: FrozenSet[T]
     support: int
+    tidset: int = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -217,8 +225,8 @@ def frequent_itemsets(
     _validate(materialized, minsup)
     columns, vocabulary, _encoded = _encode(materialized, minsup)
     results: List[Itemset[T]] = []
-    for ids, support in _fp_growth(columns, [], minsup):
-        results.append(Itemset(vocabulary.decode(ids), support))
+    for ids, support, tids in _fp_growth(columns, [], minsup):
+        results.append(Itemset(vocabulary.decode(ids), support, tids))
     return results
 
 
@@ -226,12 +234,12 @@ def _fp_growth(
     columns: Sequence[Column],
     suffix: List[int],
     minsup: int,
-) -> Iterator[Tuple[List[int], int]]:
+) -> Iterator[Tuple[List[int], int, int]]:
     # Process items least-frequent first (highest id first).
     for index in range(len(columns) - 1, -1, -1):
-        item, support, _tids = columns[index]
+        item, support, tids = columns[index]
         itemset = suffix + [item]
-        yield itemset, support
+        yield itemset, support, tids
         conditional = _project(columns, index, minsup)
         if conditional:
             yield from _fp_growth(conditional, itemset, minsup)
@@ -259,7 +267,8 @@ class _MFIStore:
     """
 
     def __init__(self) -> None:
-        self.itemsets: List[Tuple[FrozenSet[int], int]] = []
+        #: ``(item ids, support, tidset)`` per MFI, in discovery order.
+        self.itemsets: List[Tuple[FrozenSet[int], int, int]] = []
         self._by_item: Dict[int, int] = {}
         self.trees_built = 0
         self.heads_pruned = 0
@@ -281,9 +290,9 @@ class _MFIStore:
                 return False
         return True
 
-    def add(self, candidate: FrozenSet[int], support: int) -> None:
+    def add(self, candidate: FrozenSet[int], support: int, tids: int) -> None:
         bit = 1 << len(self.itemsets)
-        self.itemsets.append((candidate, support))
+        self.itemsets.append((candidate, support, tids))
         by_item = self._by_item
         for item in candidate:
             by_item[item] = by_item.get(item, 0) | bit
@@ -337,7 +346,8 @@ def maximal_frequent_itemsets(
     tracer.count("fpgrowth.heads_pruned", store.heads_pruned)
     tracer.count("fpgrowth.mfis", len(store.itemsets))
     return [
-        Itemset(vocabulary.decode(ids), support) for ids, support in store.itemsets
+        Itemset(vocabulary.decode(ids), support, tids)
+        for ids, support, tids in store.itemsets
     ]
 
 
@@ -357,20 +367,23 @@ def _fpmax(
             return
         budget.charge()
     if _is_single_path(columns):
+        # The chain's tidsets nest, so the last one is the support set
+        # of the whole candidate.
         candidate = frozenset(suffix).union(item for item, _, _ in columns)
         if not store.is_subsumed(candidate):
-            store.add(candidate, columns[-1][1])
+            _, support, tids = columns[-1]
+            store.add(candidate, support, tids)
         return
     # Least-frequent items first so long candidates are found early and
     # subsume the rest.
     for index in range(len(columns) - 1, -1, -1):
-        item, support, _tids = columns[index]
+        item, support, tids = columns[index]
         new_suffix = suffix + [item]
         conditional = _project(columns, index, minsup)
         if not conditional:
             candidate = frozenset(new_suffix)
             if not store.is_subsumed(candidate):
-                store.add(candidate, support)
+                store.add(candidate, support, tids)
             continue
         # MFI-tree pruning: if the suffix plus *everything* that could
         # still be added is already covered, the subtree is fruitless.

@@ -237,7 +237,9 @@ class DispatchProfile:
     The ``*_seconds`` buckets partition the parent's sequential wall
     time inside the dispatch span: payload pickling, pool submission,
     blocking collection (during which workers compute), pool teardown,
-    in-process crash retries, result unpickling, and the trace merge.
+    in-process crash retries, result unpickling, and the merge — the
+    trace merge plus the counters and profile rows that close the
+    dispatch.
     Their sum over the dispatch wall is the ``accounted_fraction`` the
     acceptance gate holds at >= 0.9 — if it drops, the executor has
     grown a cost the profile cannot see.

@@ -497,6 +497,12 @@ class MultiprocessExecutor(Executor):
                 t0 = now()
                 results.append(pickle.loads(outputs[index][0]))
                 deserialize.append(now() - t0)
+            # The merge bucket runs from here to the dispatch's last
+            # stamp, so the counters, the trace merge and the profile
+            # rows sit in a bucket: a stall in an untimed stretch (say,
+            # another parent thread holding the GIL) is in the wall but
+            # in no bucket.
+            merge_start = now()
             tracer.count("parallel.chunks", count)
             if lost:
                 tracer.count("parallel.worker_retries", len(lost))
@@ -504,9 +510,7 @@ class MultiprocessExecutor(Executor):
                 tracer.count("parallel.chunks_timed_out", len(timed_out))
             if traced:
                 traces = [outputs[index][1] or {} for index in range(count)]
-                t0 = now()
                 merge_worker_events(tracer, traces)
-                merge_seconds = now() - t0
                 profiles = [
                     _chunk_profile(
                         index,
@@ -541,18 +545,19 @@ class MultiprocessExecutor(Executor):
                     tracer.gauge(
                         "parallel.tracemalloc_peak_bytes", float(max(peaks))
                     )
+                wall_end = now()
                 self.profile.add(
                     DispatchProfile(
                         label=label,
                         map_call=call_index,
-                        wall_seconds=now() - wall_start,
+                        wall_seconds=wall_end - wall_start,
                         serialize_seconds=sum(serialize),
                         submit_seconds=submit_seconds,
                         collect_seconds=collect_seconds,
                         teardown_seconds=teardown_seconds,
                         retry_seconds=retry_seconds,
                         deserialize_seconds=sum(deserialize),
-                        merge_seconds=merge_seconds,
+                        merge_seconds=wall_end - merge_start,
                         chunks=profiles,
                     )
                 )

@@ -1,9 +1,10 @@
-"""Dataset container: records, item bags, inverted index, serialization.
+"""Dataset container: records, item bags, serialization.
 
 A :class:`Dataset` holds victim reports keyed by ``book_id`` and provides
-the derived artifacts the pipeline needs — item bags and the item →
-records inverted index (the preprocessing stage of Figure 9). Both are
-computed once and cached.
+the derived artifact the pipeline needs — the item bags (the
+preprocessing stage of Figure 9), computed once and cached. The item →
+records index of that stage lives in the miner: each mined itemset
+carries its support set (:mod:`repro.mining.fpgrowth`).
 
 JSON (de)serialization is provided so generated corpora can be persisted
 and reloaded by benchmarks without regenerating.
@@ -16,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.records.itembag import Item, build_item_index, record_to_items
+from repro.records.itembag import Item, record_to_items
 from repro.records.schema import (
     Gender,
     Place,
@@ -33,7 +34,7 @@ __all__ = ["Dataset", "record_to_dict", "record_from_dict"]
 
 
 class Dataset:
-    """An immutable collection of victim reports with derived indexes."""
+    """An immutable collection of victim reports with derived item bags."""
 
     def __init__(self, records: Iterable[VictimRecord], name: str = "dataset"):
         self.name = name
@@ -43,7 +44,6 @@ class Dataset:
                 raise ValueError(f"duplicate book_id: {record.book_id}")
             self._records[record.book_id] = record
         self._item_bags: Optional[Dict[int, FrozenSet[Item]]] = None
-        self._item_index: Optional[Dict[Item, List[int]]] = None
         self._content_fingerprint: Optional[str] = None
 
     # -- basic container protocol -------------------------------------------
@@ -77,13 +77,6 @@ class Dataset:
                 rid: record_to_items(record) for rid, record in self._records.items()
             }
         return self._item_bags
-
-    @property
-    def item_index(self) -> Dict[Item, List[int]]:
-        """Inverted index item → sorted list of record ids holding it."""
-        if self._item_index is None:
-            self._item_index = build_item_index(self.item_bags.items())
-        return self._item_index
 
     def content_fingerprint(self) -> str:
         """SHA-256 over the canonical record content (cached).

@@ -14,7 +14,7 @@ with the extreme schema variability between sources (Figure 11).
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterator, NamedTuple, Tuple
 
 from repro.records.schema import (
     NAME_ATTRIBUTES,
@@ -30,7 +30,6 @@ __all__ = [
     "ItemType",
     "Item",
     "record_to_items",
-    "build_item_index",
     "place_item_type",
     "NAME_ITEM_TYPES",
 ]
@@ -87,6 +86,12 @@ class ItemType(enum.Enum):
     def __init__(self, prefix: str, kind: ItemKind) -> None:
         self.prefix = prefix
         self.kind = kind
+
+    # Members are singletons and ``==`` is identity, so the C identity
+    # hash agrees with equality; ``Enum.__hash__`` runs Python code on
+    # every set and dict lookup of an ``Item``. It differs per process,
+    # as string hashes already do under hash randomization.
+    __hash__ = object.__hash__
 
     @classmethod
     def from_prefix(cls, prefix: str) -> "ItemType":
@@ -183,19 +188,3 @@ def _iter_items(record: VictimRecord) -> Iterator[Item]:
                 value = place.part(part)
                 if value is not None:
                     yield Item(place_item_type(place_type, part), value)
-
-
-def build_item_index(
-    item_bags: Iterable[Tuple[int, FrozenSet[Item]]]
-) -> Dict[Item, List[int]]:
-    """Build the inverted index mapping each item to the records holding it.
-
-    This is the preprocessing index of Figure 9 ("creates an index that
-    maps each item to the list of records in which it appears"); MFIBlocks
-    uses it to find block supports and to prune ultra-frequent items.
-    """
-    index: Dict[Item, List[int]] = {}
-    for rid, items in item_bags:
-        for item in items:
-            index.setdefault(item, []).append(rid)
-    return index

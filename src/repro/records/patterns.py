@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.records.dataset import Dataset
-from repro.records.itembag import Item, ItemType
+from repro.records.itembag import ItemType
 
 __all__ = [
     "PatternBucket",
@@ -172,17 +172,3 @@ def item_type_cardinality(dataset: Dataset) -> List[CardinalityRow]:
         per_item = record_hits[item_type] / n_items if n_items else 0.0
         rows.append(CardinalityRow(item_type, n_items, per_item))
     return rows
-
-
-def most_frequent_items(dataset: Dataset, top_fraction: float) -> List[Item]:
-    """The ``top_fraction`` most frequent items (for the Fig. 12 pruning).
-
-    Section 6.3 prunes the 0.03% most frequent items before mining; this
-    helper returns that set sorted by descending support.
-    """
-    if not 0.0 <= top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must be in [0, 1], got {top_fraction}")
-    index = dataset.item_index
-    ranked = sorted(index.items(), key=lambda kv: (-len(kv[1]), str(kv[0])))
-    keep = int(round(len(ranked) * top_fraction))
-    return [item for item, _ in ranked[:keep]]

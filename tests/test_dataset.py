@@ -46,11 +46,6 @@ class TestDerived:
         assert bags_a is bags_b
         assert set(bags_a) == {1, 2, 3}
 
-    def test_item_index_consistent_with_bags(self, trio):
-        for item, rids in trio.item_index.items():
-            for rid in rids:
-                assert item in trio.item_bags[rid]
-
     def test_subset(self, trio):
         sub = trio.subset([1, 3])
         assert len(sub) == 2

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mining.fpgrowth import (
+    Itemset,
     _bin_popcount,
     _columns,
     _is_single_path,
@@ -276,9 +277,9 @@ class TestMFIStore:
         store = _MFIStore()
         for op, items in ops:
             if op == "add":
-                store.add(items, len(store.itemsets) + 1)
+                store.add(items, len(store.itemsets) + 1, 0)
                 continue
-            expected = any(items <= kept for kept, _ in store.itemsets)
+            expected = any(items <= kept for kept, _, _ in store.itemsets)
             assert store.is_subsumed(items) == expected
         # The empty candidate is subsumed iff the store holds any MFI.
         assert store.is_subsumed(frozenset()) == bool(store.itemsets)
@@ -290,7 +291,7 @@ class TestMFIStore:
 
     def test_empty_mfi_subsumes_only_the_empty_candidate(self):
         store = _MFIStore()
-        store.add(frozenset(), 3)
+        store.add(frozenset(), 3, 0b111)
         assert store.is_subsumed(frozenset())
         assert not store.is_subsumed(frozenset({1}))
 
@@ -323,3 +324,39 @@ class TestBudgetPrefix:
             iterations += 1
         # The first budget the search fits in returns the whole list.
         assert cut == full
+
+
+def _brute_tidset(itemset, transactions):
+    return sum(1 << t for t, row in enumerate(transactions) if itemset <= row)
+
+
+class TestTidsets:
+    """Every returned itemset carries its exact support set."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        transactions_strategy,
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_tidset_is_brute_force_support(self, transactions, minsup, iterations):
+        meter = BudgetMeter(StageBudget(max_iterations=iterations))
+        mines = [
+            maximal_frequent_itemsets(transactions, minsup),
+            frequent_itemsets(transactions, minsup),
+            maximal_via_filter(transactions, minsup),
+            maximal_frequent_itemsets(transactions, minsup, budget=meter),
+        ]
+        for mined in mines:
+            for itemset in mined:
+                assert itemset.tidset == _brute_tidset(itemset.items, transactions)
+                assert _bin_popcount(itemset.tidset) == itemset.support
+
+    def test_tidset_stays_out_of_equality_and_repr(self):
+        mined = maximal_frequent_itemsets([{"a", "b"}, {"a", "b"}, {"a"}], 2)
+        assert [(m.items, m.support, m.tidset) for m in mined] == [
+            (frozenset("ab"), 2, 0b011)
+        ]
+        same = Itemset(frozenset("ab"), 2, 0)
+        assert mined[0] == same and hash(mined[0]) == hash(same)
+        assert "tidset" not in repr(mined[0])

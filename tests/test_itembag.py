@@ -8,11 +8,10 @@ from repro.records.itembag import (
     Item,
     ItemKind,
     ItemType,
-    build_item_index,
     place_item_type,
     record_to_items,
 )
-from repro.records.schema import Gender, Place, PlacePart, PlaceType
+from repro.records.schema import Place, PlacePart, PlaceType
 from tests.conftest import make_record
 
 
@@ -109,19 +108,3 @@ class TestRecordToItems:
         record = make_record(first=(), last=(), gender=None)
         assert record_to_items(record) == frozenset()
 
-
-class TestItemIndex:
-    def test_index_maps_items_to_records(self):
-        bags = {
-            1: frozenset({Item(ItemType.FIRST_NAME, "Guido")}),
-            2: frozenset({
-                Item(ItemType.FIRST_NAME, "Guido"),
-                Item(ItemType.LAST_NAME, "Foa"),
-            }),
-        }
-        index = build_item_index(bags.items())
-        assert sorted(index[Item(ItemType.FIRST_NAME, "Guido")]) == [1, 2]
-        assert index[Item(ItemType.LAST_NAME, "Foa")] == [2]
-
-    def test_empty(self):
-        assert build_item_index([]) == {}

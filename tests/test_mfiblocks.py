@@ -129,6 +129,31 @@ class TestAlgorithm:
         for block in result.blocks:
             assert {str(i).split()[0] for i in block.key} != {"G"}
 
+    @pytest.mark.parametrize("prune_fraction", [None, 0.003])
+    def test_block_records_are_brute_force_support_of_key(
+        self, small_corpus, prune_fraction
+    ):
+        """FindSupport: a block holds exactly the records, uncovered at
+        its level, whose (possibly pruned) bag contains its key."""
+        dataset, _persons = small_corpus
+        levels = []
+
+        class Spy(MFIBlocks):
+            def _one_iteration(self, uncovered, item_bags, *args):
+                admitted = super()._one_iteration(uncovered, item_bags, *args)
+                levels.append((list(uncovered), item_bags, admitted))
+                return admitted
+
+        config = MFIBlocksConfig(max_minsup=4, prune_fraction=prune_fraction)
+        result = Spy(config).run(dataset)
+        assert sum(len(admitted) for *_, admitted in levels) == len(result.blocks)
+        assert any(admitted for *_, admitted in levels)
+        for uncovered, item_bags, admitted in levels:
+            for records, key, _score in admitted:
+                assert records == frozenset(
+                    rid for rid in uncovered if key <= item_bags[rid]
+                )
+
 
 class TestNGEffect:
     def test_larger_ng_more_candidates(self, small_corpus):

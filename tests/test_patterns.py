@@ -10,7 +10,6 @@ from repro.records.patterns import (
     full_information_pattern_count,
     item_type_cardinality,
     item_type_prevalence,
-    most_frequent_items,
     pattern_counts,
     pattern_histogram,
 )
@@ -120,25 +119,6 @@ class TestCardinality:
         # 13 records all share one last name value.
         assert rows[ItemType.LAST_NAME].n_items == 1
         assert rows[ItemType.LAST_NAME].records_per_item == 13
-
-
-class TestMostFrequentItems:
-    def test_fraction_bounds(self, small_corpus):
-        dataset, _persons = small_corpus
-        with pytest.raises(ValueError):
-            most_frequent_items(dataset, -0.1)
-        with pytest.raises(ValueError):
-            most_frequent_items(dataset, 1.1)
-
-    def test_returns_descending_support(self, small_corpus):
-        dataset, _persons = small_corpus
-        items = most_frequent_items(dataset, 0.01)
-        supports = [len(dataset.item_index[item]) for item in items]
-        assert supports == sorted(supports, reverse=True)
-
-    def test_zero_fraction(self, small_corpus):
-        dataset, _persons = small_corpus
-        assert most_frequent_items(dataset, 0.0) == []
 
 
 class TestEmptyDataset:

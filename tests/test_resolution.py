@@ -115,6 +115,21 @@ class TestResolutionResult:
         with pytest.raises(ValueError):
             result.top(-1)
 
+    def test_top_k_is_ranked_prefix_built_row_by_row(self, monkeypatch):
+        result = ResolutionResult(evidence_set())
+        size = len(result)
+        for k in (0, 1, size, size + 5):
+            assert result.top(k) == result.ranked()[:k]
+        built = []
+        evidence_at = ResolutionResult._evidence_at
+        monkeypatch.setattr(
+            ResolutionResult,
+            "_evidence_at",
+            lambda self, row: built.append(row) or evidence_at(self, row),
+        )
+        result.top(1)
+        assert len(built) == 1
+
     def test_resolve_threshold(self):
         result = ResolutionResult(evidence_set())
         crisp = result.resolve(certainty=0.45)
