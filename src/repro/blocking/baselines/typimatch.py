@@ -10,6 +10,12 @@ an edge between two tokens when their conditional co-occurrence ratio
 reaches ``epsilon``; ``networkx`` enumerates maximal cliques (bounded
 for tractability); standard blocking then runs inside each type's
 record set.
+
+The clique search runs over int token ids in sorted token order:
+``find_cliques`` walks sets of nodes, and sets of strings iterate in
+hash-seed order, so string nodes would make the cliques the
+``max_cliques`` cut keeps, and the block order, depend on
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ class TYPiMatch(BlockingAlgorithm):
             rid: frozenset(item.value.lower() for item in items)
             for rid, items in dataset.item_bags.items()
         }
-        graph = self._cooccurrence_graph(tokens_of)
-        types = self._types(graph)
+        graph, token_list = self._cooccurrence_graph(tokens_of)
+        types = self._types(graph, token_list)
 
         result = BlockingResult()
         seen: Set[FrozenSet[int]] = set()
@@ -77,7 +83,8 @@ class TYPiMatch(BlockingAlgorithm):
 
     def _cooccurrence_graph(
         self, tokens_of: Dict[int, FrozenSet[str]]
-    ) -> "nx.Graph":
+    ) -> "Tuple[nx.Graph, List[str]]":
+        """The token graph over int ids, and the tokens by id (sorted)."""
         support: Dict[str, int] = {}
         co_count: Dict[Tuple[str, str], int] = {}
         for tokens in tokens_of.values():
@@ -88,6 +95,8 @@ class TYPiMatch(BlockingAlgorithm):
                 for b in ordered[i + 1:]:
                     co_count[(a, b)] = co_count.get((a, b), 0) + 1
 
+        token_list = sorted(support)
+        token_id = {token: i for i, token in enumerate(token_list)}
         graph = nx.Graph()
         for (a, b), count in co_count.items():
             if support[a] < self.min_token_support:
@@ -96,15 +105,17 @@ class TYPiMatch(BlockingAlgorithm):
                 continue
             ratio = count / min(support[a], support[b])
             if ratio >= self.epsilon:
-                graph.add_edge(a, b)
-        return graph
+                graph.add_edge(token_id[a], token_id[b])
+        return graph, token_list
 
-    def _types(self, graph: "nx.Graph") -> List[FrozenSet[str]]:
+    def _types(
+        self, graph: "nx.Graph", token_list: List[str]
+    ) -> List[FrozenSet[str]]:
         types: List[FrozenSet[str]] = []
         for clique in nx.find_cliques(graph):
             if len(clique) < 2:
                 continue
-            types.append(frozenset(clique))
+            types.append(frozenset(token_list[i] for i in clique))
             if len(types) >= self.max_cliques:
                 break
         return types

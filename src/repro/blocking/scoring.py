@@ -27,12 +27,12 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.contracts import batch_kernel, deterministic, hot_path, pure
 from repro.records.itembag import Item, ItemType
 from repro.similarity.batch import (
-    jaccard_items_batch,
     soft_jaccard_items_batch,
     weighted_jaccard_items_batch,
 )
@@ -96,6 +96,10 @@ DEFAULT_EXPERT_WEIGHTS: Mapping[ItemType, float] = {
     ItemType.DEATH_COUNTRY: 0.2,
 }
 
+#: Every item type at the default weight 1.0: weighted Jaccard under
+#: these weights is plain Jaccard (the Base condition).
+_UNIT_WEIGHTS: Mapping[ItemType, float] = MappingProxyType({})
+
 
 @dataclass
 class BlockScorer:
@@ -105,12 +109,23 @@ class BlockScorer:
     method falls back to :data:`DEFAULT_EXPERT_WEIGHTS` in that case,
     while the EXPERT (Eq.-1 soft) method composes with whatever weights
     are set — matching Table 9, where the ExpertSim condition runs on
-    top of Expert Weighting.
+    top of Expert Weighting. A non-finite weight raises ``ValueError``.
     """
 
     method: ScoringMethod = ScoringMethod.UNIFORM
     weights: Optional[Mapping[ItemType, float]] = None
     geo_lookup: Optional[GeoLookup] = None
+
+    def __post_init__(self) -> None:
+        weights = (
+            self.weights if self.weights is not None else DEFAULT_EXPERT_WEIGHTS
+        )
+        for item_type, weight in weights.items():
+            if not math.isfinite(weight):
+                raise ValueError(
+                    f"item weight for {item_type.name} must be finite, "
+                    f"got {weight!r}"
+                )
 
     @hot_path
     @pure
@@ -157,13 +172,17 @@ class BlockScorer:
 
         Returns one float per pair, bit-equal to the scalar method on
         the corresponding item bags (see :mod:`repro.similarity.batch`).
+        UNIFORM is the weighted kernel under unit weights.
         """
+        if self.method is ScoringMethod.EXPERT:
+            return soft_jaccard_items_batch(
+                corpus, pairs, self.geo_lookup, self.weights
+            )
         if self.method is ScoringMethod.UNIFORM:
-            return jaccard_items_batch(corpus, pairs)
-        if self.method is ScoringMethod.WEIGHTED:
+            weights = _UNIT_WEIGHTS
+        else:
             weights = self.weights if self.weights is not None else DEFAULT_EXPERT_WEIGHTS
-            return weighted_jaccard_items_batch(corpus, pairs, weights)
-        return soft_jaccard_items_batch(corpus, pairs, self.geo_lookup, self.weights)
+        return weighted_jaccard_items_batch(corpus, pairs, weights)
 
     @batch_kernel
     @pure

@@ -35,9 +35,9 @@ import argparse
 import importlib
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core import PipelineConfig, UncertainERPipeline
+from repro.core import PipelineConfig, ResolutionResult, UncertainERPipeline
 from repro.datagen import (
     ExpertTagger,
     build_corpus,
@@ -438,26 +438,43 @@ def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
     return None if directory is None else CheckpointStore(directory)
 
 
+def _run_pipeline(
+    args: argparse.Namespace,
+    config: PipelineConfig,
+    tracer: Tracer,
+    dataset: Dataset,
+) -> Tuple[ResolutionResult, Optional[Dict[Tuple[int, int], bool]]]:
+    """Resolve ``dataset`` as ``resolve`` and ``profile`` do.
+
+    With ``--classify`` the classifier trains on simulated expert tags
+    of the blocking candidates, which are returned as well. The
+    ``--workers`` executor is closed before this returns.
+    """
+    executor = _executor(args)
+    try:
+        pipeline = UncertainERPipeline(config, tracer=tracer, executor=executor)
+        labels = None
+        if args.classify:
+            blocking = pipeline.block(dataset)
+            tagger = ExpertTagger(dataset, seed=args.tag_seed)
+            tagged = tagger.tag_pairs(blocking.candidate_pairs)
+            labels = simplify_tags(tagged, maybe_as=None)
+        resolution = pipeline.run(
+            dataset, labeled_pairs=labels,
+            checkpoints=_checkpoint_store(args), resume=args.resume,
+        )
+    finally:
+        executor.close()
+    return resolution, labels
+
+
 def _cmd_resolve(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     tracer = _build_tracer(args)
     dataset = _load_corpus_resilient(args, tracer)
-    pipeline = UncertainERPipeline(
-        config, tracer=tracer, executor=_executor(args)
-    )
-
-    labels = None
-    if args.classify:
-        blocking = pipeline.block(dataset)
-        tagger = ExpertTagger(dataset, seed=args.tag_seed)
-        tagged = tagger.tag_pairs(blocking.candidate_pairs)
-        labels = simplify_tags(tagged, maybe_as=None)
+    resolution, labels = _run_pipeline(args, config, tracer, dataset)
+    if labels is not None:
         print(f"trained on {len(labels)} simulated expert-tagged pairs")
-
-    resolution = pipeline.run(
-        dataset, labeled_pairs=labels,
-        checkpoints=_checkpoint_store(args), resume=args.resume,
-    )
     _finish_tracing(args, tracer, resolution)
     crisp = resolution.resolve(args.certainty)
     print(f"{len(resolution)} ranked pairs; {len(crisp)} above "
@@ -489,22 +506,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if not tracer.enabled:
         tracer = Tracer()
     dataset = _load_corpus_resilient(args, tracer)
-    pipeline = UncertainERPipeline(
-        config, tracer=tracer, executor=_executor(args)
-    )
-
-    labels = None
-    if args.classify:
-        blocking = pipeline.block(dataset)
-        tagger = ExpertTagger(dataset, seed=args.tag_seed)
-        labels = simplify_tags(
-            tagger.tag_pairs(blocking.candidate_pairs), maybe_as=None
-        )
-
-    resolution = pipeline.run(
-        dataset, labeled_pairs=labels,
-        checkpoints=_checkpoint_store(args), resume=args.resume,
-    )
+    resolution, _labels = _run_pipeline(args, config, tracer, dataset)
     _finish_tracing(args, tracer, resolution)
     assert resolution.report is not None  # tracer is always enabled here
     print(resolution.report.format_table())

@@ -34,7 +34,7 @@ stage boundaries so chaos tests can kill the run at any of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.blocking.base import BlockingResult
 from repro.blocking.mfiblocks import MFIBlocks
@@ -172,16 +172,6 @@ class UncertainERPipeline:
             tracer=self.tracer,
             executor=self.executor,
         ).run(dataset)
-
-    def same_source_filter(
-        self, dataset: Dataset, pairs: Iterable[Pair]
-    ) -> List[Pair]:
-        """Stage 3: drop pairs whose two records share a source."""
-        return [
-            pair
-            for pair in pairs
-            if dataset[pair[0]].source.key != dataset[pair[1]].source.key
-        ]
 
     def train_classifier(
         self,

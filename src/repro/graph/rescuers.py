@@ -23,7 +23,7 @@ import networkx as nx
 
 from repro.geo import GeoPoint, haversine_km
 from repro.graph.knowledge import EntityProfile
-from repro.records.schema import PLACE_TYPES, PlaceType
+from repro.records.schema import PLACE_TYPES
 from repro.similarity.items import GeoLookup
 from repro.similarity.strings import jaro_winkler
 

@@ -276,9 +276,12 @@ def _worker_crash(persons: int, seed: int, workdir: Path) -> Build:
 
     def survived(workdir: Path) -> str:
         executor = MultiprocessExecutor(workers=2, worker_fault=plan)
-        resolution = UncertainERPipeline(config, executor=executor).run(
-            dataset
-        )
+        try:
+            resolution = UncertainERPipeline(config, executor=executor).run(
+                dataset
+            )
+        finally:
+            executor.close()
         require(
             plan.fired,
             f"crash plan (map call {plan.map_call}, chunk {plan.chunk}) "

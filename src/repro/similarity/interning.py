@@ -23,13 +23,19 @@ once and for all:
   ``N / D == math.fsum(weights)`` **bit for bit**. This is the identity
   that lets the batch kernels in :mod:`repro.similarity.batch` promise
   byte-identical ranked output (docs/PARALLELISM.md, "Batch kernels").
+  Unit weights give ``D = 1`` and masses that are plain popcounts: that
+  is how unweighted Jaccard is scored.
 
 Integer overflow is handled, not assumed away: the ``int64`` matmul
-fast path is used only when the largest conceivable scaled mass is
-provably below ``2**62``; otherwise the mass falls back to exact
-Python-int arithmetic. Note ``numpy`` integer scalars must be converted
-to Python ints *before* the final division — ``np.int64 / int`` routes
-through float64 and loses the correct rounding above ``2**53``.
+route is used only when the largest conceivable scaled mass is
+provably below ``2**62`` and dividing by ``D`` is an exponent shift;
+otherwise the masses are exact Python ints (``object`` arrays), whose
+``int / int`` division is correctly rounded at any magnitude. A
+non-finite weight has no exact integer form: it raises ``ValueError``
+when the weight table is scaled, so no kernel ever needs the scalar
+functions. The corpus keeps only integer data and its vocabulary, no
+``Item`` bags: the soft-Jaccard greedy step decodes a record's ids
+from its bitset row (:meth:`InternedCorpus.row_item_ids`).
 
 The corpus is read-only after construction, picklable, and fork-safe —
 the shared-state registry (:mod:`repro.parallel.shared`) publishes it
@@ -41,7 +47,7 @@ corpus pickling.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -65,53 +71,57 @@ _ALL_ONES = (1 << _WORD_BITS) - 1
 #: is provably below this bound (2**62 leaves a 2x safety margin).
 _INT64_SAFE_BOUND = 1 << 62
 
+#: Float division by the common denominator is a pure exponent shift
+#: (hence rounding-preserving) only while every nonzero ``mass / D``
+#: stays in the normal float range. ``|mass| >= 1``, so ``D <= 2**1022``
+#: guarantees it; larger denominators (subnormal weights) take the
+#: exact Python-int route instead.
+_FLOAT_EXACT_DEN = 1 << 1022
+
 
 class ScaledWeights:
     """An item-type weight table as exact integers over one denominator.
 
-    ``value(t) == ints[t] / denominator`` exactly, for every type index
-    ``t`` in :data:`TYPE_ORDER` order. When integer matmul is provably
-    overflow-safe for the owning corpus, three derived arrays are
-    attached (else all three are ``None`` and callers must use exact
-    Python-int arithmetic):
-
-    * ``vec64`` — ``int64`` copy of ``ints``;
-    * ``seg_vec64`` — per-segment scaled weight (the owning corpus's
-      word-segment table, see ``seg_counts_of``);
-    * ``record_masses`` — precomputed scaled mass of every record's
-      full bag, so a pair's union mass is ``mass_a + mass_b - inter``.
+    Bound to the corpus that built it. ``seg_weights[s]`` is the weight
+    of word segment ``s``'s item type times ``denominator`` (see
+    :meth:`InternedCorpus.seg_counts_of`), and ``record_masses[r]`` is
+    the scaled mass of row ``r``'s whole bag, so a pair's union mass is
+    ``mass_a + mass_b - inter``. Both arrays are ``int64`` when
+    ``exact64`` holds (every mass provably fits and ``denominator <=
+    2**1022``); otherwise they are ``object`` arrays of Python ints.
     """
 
-    __slots__ = ("denominator", "ints", "vec64", "seg_vec64", "record_masses")
+    __slots__ = ("denominator", "seg_weights", "record_masses", "exact64")
 
     def __init__(
         self,
         denominator: int,
-        ints: Tuple[int, ...],
-        vec64: Optional["np.ndarray"],
-        seg_vec64: Optional["np.ndarray"] = None,
-        record_masses: Optional["np.ndarray"] = None,
+        seg_weights: np.ndarray,
+        record_masses: np.ndarray,
+        exact64: bool,
     ) -> None:
         self.denominator = denominator
-        self.ints = ints
-        self.vec64 = vec64
-        self.seg_vec64 = seg_vec64
+        self.seg_weights = seg_weights
         self.record_masses = record_masses
+        self.exact64 = exact64
 
 
-def _scale_weights(values: Sequence[float]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+def _scale_weights(values: Sequence[float]) -> Tuple[int, Tuple[int, ...]]:
     """Rewrite float weights as integers over a common denominator.
 
+    ``values`` holds one weight per type, in :data:`TYPE_ORDER` order.
     Returns ``(denominator, ints)`` with ``values[i] == ints[i] /
-    denominator`` exactly, or ``None`` when a weight is non-finite (the
-    caller then falls back to the scalar reference per pair).
+    denominator`` exactly; a non-finite weight raises ``ValueError``.
     """
     ratios: List[Tuple[int, int]] = []
-    for value in values:
+    for item_type, value in zip(TYPE_ORDER, values):
         try:
             ratios.append(float(value).as_integer_ratio())
         except (OverflowError, ValueError):  # inf / nan
-            return None
+            raise ValueError(
+                f"item weight for {item_type.name} must be finite, "
+                f"got {value!r}"
+            ) from None
     # as_integer_ratio denominators are always powers of two, so their
     # least common multiple is simply the largest one.
     denominator = 1
@@ -135,26 +145,20 @@ class InternedCorpus:
         rids = sorted(item_bags)
         self.rids: Tuple[int, ...] = tuple(rids)
         self.row_of: Dict[int, int] = {rid: row for row, rid in enumerate(rids)}
-        #: Original bags, for the non-finite-weight scalar fallback and
-        #: the soft-Jaccard greedy step's per-record id lists.
-        self.bags: Dict[int, FrozenSet[Item]] = {
-            rid: item_bags[rid] for rid in rids
-        }
 
         vocab = sorted(
-            {item for bag in self.bags.values() for item in bag},
+            {item for bag in item_bags.values() for item in bag},
             key=lambda item: (_TYPE_INDEX[item.type], item.value),
         )
         self.vocab: Tuple[Item, ...] = tuple(vocab)
-        self.id_of: Dict[Item, int] = {item: i for i, item in enumerate(vocab)}
+        id_of = {item: i for i, item in enumerate(vocab)}
 
         n_records = len(rids)
         n_items = len(vocab)
         n_words = max(1, (n_items + _WORD_BITS - 1) // _WORD_BITS)
         bits = np.zeros((n_records, n_words), dtype=np.uint64)
-        id_of = self.id_of
         for row, rid in enumerate(rids):
-            bag = self.bags[rid]
+            bag = item_bags[rid]
             if not bag:
                 continue
             ids = np.fromiter(
@@ -218,9 +222,7 @@ class InternedCorpus:
         # holds more items than the two largest bags combined.
         largest = int(self.sizes.max()) if n_records else 0
         self.max_pair_items: int = 2 * largest
-        self._weights_cache: Dict[
-            Tuple[float, ...], Optional[ScaledWeights]
-        ] = {}
+        self._weights_cache: Dict[Tuple[float, ...], ScaledWeights] = {}
 
     @cached_property
     def repr_rank(self) -> Tuple[int, ...]:
@@ -240,6 +242,11 @@ class InternedCorpus:
         return tuple(rank_of)
 
     # -- row lookups ---------------------------------------------------------
+
+    def row_item_ids(self, row: int) -> np.ndarray:
+        """Vocabulary ids of row ``row``'s items, ascending."""
+        word_bytes = self.bits[row].astype("<u8", copy=False).view(np.uint8)
+        return np.flatnonzero(np.unpackbits(word_bytes, bitorder="little"))
 
     def pair_rows(self, pairs: Sequence[Pair]) -> Tuple[np.ndarray, np.ndarray]:
         """Row indexes of the left and right record of every pair."""
@@ -280,32 +287,31 @@ class InternedCorpus:
         self,
         weights: Mapping[ItemType, float],
         default_weight: float = 1.0,
-    ) -> Optional[ScaledWeights]:
+    ) -> ScaledWeights:
         """The exact integer form of a weight table (cached).
 
-        ``None`` means a weight is non-finite and the caller must use
-        the scalar reference implementation per pair.
+        A type missing from ``weights`` weighs ``default_weight``. A
+        non-finite weight raises ``ValueError``.
         """
         key = (float(default_weight),) + tuple(
             float(weights.get(item_type, default_weight))
             for item_type in TYPE_ORDER
         )
-        if key in self._weights_cache:
-            return self._weights_cache[key]
-        scaled = _scale_weights(key[1:])
-        entry: Optional[ScaledWeights] = None
-        if scaled is not None:
-            denominator, ints = scaled
+        entry = self._weights_cache.get(key)
+        if entry is None:
+            denominator, ints = _scale_weights(key[1:])
             max_abs = max((abs(value) for value in ints), default=0)
-            vec64: Optional[np.ndarray] = None
-            seg_vec64: Optional[np.ndarray] = None
-            record_masses: Optional[np.ndarray] = None
-            if max_abs * max(1, self.max_pair_items) < _INT64_SAFE_BOUND:
-                vec64 = np.array(ints, dtype=np.int64)
-                seg_vec64 = vec64[self._seg_types]
-                record_masses = self.type_counts @ vec64
-            entry = ScaledWeights(
-                denominator, ints, vec64, seg_vec64, record_masses
+            exact64 = (
+                max_abs * max(1, self.max_pair_items) < _INT64_SAFE_BOUND
+                and denominator <= _FLOAT_EXACT_DEN
             )
-        self._weights_cache[key] = entry
+            dtype = np.int64 if exact64 else object
+            vec = np.array(ints, dtype=dtype)
+            entry = ScaledWeights(
+                denominator,
+                vec[self._seg_types],
+                self.type_counts.astype(dtype) @ vec,
+                exact64,
+            )
+            self._weights_cache[key] = entry
         return entry

@@ -42,6 +42,22 @@ def dispatch_small_scoring():
         yield
 
 
+@pytest.fixture
+def closing():
+    """``closing(executor)`` returns ``executor`` and closes it when the
+    test ends, so no worker pool, and none of its threads, outlives the
+    test that opened it."""
+    opened = []
+
+    def track(executor):
+        opened.append(executor)
+        return executor
+
+    yield track
+    for executor in reversed(opened):
+        executor.close()
+
+
 def make_record(
     book_id=1,
     source=("list", "L1"),

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.blocking.baselines import (
@@ -188,6 +193,36 @@ class TestTYPiMatch:
     def test_runs_and_finds_duplicates(self, tiny_dataset):
         result = TYPiMatch(epsilon=0.3).run(tiny_dataset)
         assert (1, 2) in result.candidate_pairs
+
+    def test_blocks_do_not_depend_on_hash_seed(self):
+        # max_cliques cuts the clique enumeration well short, so both
+        # which cliques are kept and the block order are visible.
+        script = (
+            "from repro.blocking.baselines import TYPiMatch\n"
+            "from repro.datagen import build_corpus\n"
+            "dataset, _ = build_corpus(n_persons=40, communities=('italy',),"
+            " seed=11, name='typimatch')\n"
+            "for block in TYPiMatch(max_cliques=10).run(dataset).blocks:\n"
+            "    print(sorted(block.records))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+            )
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert outputs[0].count("\n") > 1
+        assert outputs[0] == outputs[1]
 
 
 class TestAllBaselinesContract:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.blocking.baselines.common import blocks_from_keys, key_blocks
 from repro.records.dataset import Dataset
 from tests.conftest import make_record

@@ -3,13 +3,17 @@
 The vectorized kernels (``repro.similarity.batch``, the batch feature
 extractor in ``repro.similarity.features``, and the ``BlockScorer``
 batch methods) each promise byte-for-byte the floats of the scalar
-reference they replace. Hypothesis hunts for the counterexample on:
+reference they replace. The scalar functions are only oracles here: the
+uniform scorer is the weighted kernel under unit weights, unweighted
+soft Jaccard is soft Jaccard under unit weights, and no kernel calls a
+scalar function. Hypothesis hunts for the counterexample on:
 
 * random corpora over every item type, with unicode/transliteration
   noise in the values (mixed scripts, diacritics, apostrophes);
-* random weight tables including negative, huge, subnormal, inf and
-  NaN weights (the exact-arithmetic fast path must *decline* those and
-  delegate, not drift);
+* random finite weight tables including negative, zero, huge and
+  subnormal weights (the ``int64`` route must decline the huge and
+  subnormal ones and take exact Python ints, not drift); a non-finite
+  weight must raise ``ValueError``;
 * empty and degenerate sets, self-pairs, duplicated pairs;
 * arbitrary chunkings — splitting the pair list anywhere and
   concatenating the per-chunk results must reproduce the whole-batch
@@ -26,10 +30,13 @@ as drift/equality correctly.
 
 from __future__ import annotations
 
+import ast
 import math
 from itertools import combinations
+from pathlib import Path
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +49,6 @@ from repro.blocking.scoring import (
 from repro.geo import GeoPoint
 from repro.records.itembag import Item, ItemKind, ItemType
 from repro.similarity.batch import (
-    jaccard_items_batch,
     soft_jaccard_items_batch,
     weighted_jaccard_items_batch,
 )
@@ -110,12 +116,17 @@ weight_values = st.one_of(
             2.5,
             1e300,
             5e-324,
-            float("inf"),
-            float("nan"),
         ]
     ),
 )
 weight_tables = st.dictionaries(item_types, weight_values, max_size=8)
+
+#: The uniform (Base) scorer: the weighted kernel under unit weights.
+UNIFORM = BlockScorer(method=ScoringMethod.UNIFORM)
+
+
+def uniform_batch(corpus, pairs):
+    return UNIFORM.pair_similarity_batch(corpus, pairs)
 
 
 @st.composite
@@ -134,7 +145,7 @@ class TestItemKernelsMatchScalar:
     def test_jaccard(self, case):
         item_bags, pairs = case
         corpus = InternedCorpus(item_bags)
-        batch = jaccard_items_batch(corpus, pairs)
+        batch = uniform_batch(corpus, pairs)
         scalar = [
             jaccard_items(item_bags[a], item_bags[b]) for a, b in pairs
         ]
@@ -175,7 +186,7 @@ class TestItemKernelsMatchScalar:
 
     def test_empty_corpus_and_empty_pairs(self):
         corpus = InternedCorpus({})
-        assert jaccard_items_batch(corpus, []) == []
+        assert uniform_batch(corpus, []) == []
         assert weighted_jaccard_items_batch(corpus, [], {}) == []
         assert soft_jaccard_items_batch(corpus, [], None, None) == []
 
@@ -186,7 +197,7 @@ class TestItemKernelsMatchScalar:
         pairs = [(0, 0), (0, 1), (1, 2), (2, 2)]
         for kernel, scalar in (
             (
-                lambda c, p: jaccard_items_batch(c, p),
+                lambda c, p: uniform_batch(c, p),
                 lambda a, b: jaccard_items(a, b),
             ),
             (
@@ -332,8 +343,9 @@ class TestSoftJaccardTies:
         )
 
 
-class TestSoftJaccardScalarFallback:
-    """Only a non-finite weight sends soft Jaccard to the scalar."""
+class TestNoScalarFallback:
+    """No weight table sends a kernel to the scalar functions: finite
+    weights take the exact-mass path, non-finite ones raise."""
 
     @classmethod
     def setup_class(cls):
@@ -352,14 +364,17 @@ class TestSoftJaccardScalarFallback:
         ]
 
     def test_finite_weights_never_reach_scalar(self, monkeypatch):
+        import repro.similarity.items as items_module
+
         def refuse(*_args, **_kwargs):
-            raise AssertionError("finite weights reached soft_jaccard_items")
+            raise AssertionError("a batch kernel reached a scalar Jaccard")
 
         expected = {
             key: self.scalar(weights, geo)
             for key, (weights, geo) in self.finite_cases().items()
         }
-        monkeypatch.setattr(batch_module, "soft_jaccard_items", refuse)
+        for name in SCALAR_JACCARDS:
+            monkeypatch.setattr(items_module, name, refuse)
         for key, (weights, geo) in self.finite_cases().items():
             batch = soft_jaccard_items_batch(
                 self.corpus, self.pairs, geo, weights
@@ -367,7 +382,7 @@ class TestSoftJaccardScalarFallback:
             assert reprs(batch) == reprs(expected[key]), key
         # The greedy step really ran: partial matches moved some scores
         # off plain Jaccard.
-        plain = jaccard_items_batch(self.corpus, self.pairs)
+        plain = uniform_batch(self.corpus, self.pairs)
         assert reprs(expected["none"]) != reprs(plain)
 
     @staticmethod
@@ -380,24 +395,55 @@ class TestSoftJaccardScalarFallback:
             "empty": ({}, lookup),
         }
 
-    def test_non_finite_weights_still_reach_scalar(self, monkeypatch):
-        calls = []
-        original = batch_module.soft_jaccard_items
-
-        def counting(*args, **kwargs):
-            calls.append(args[:2])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(batch_module, "soft_jaccard_items", counting)
-        for bad in (math.nan, math.inf, -math.inf):
-            weights = dict(DEFAULT_EXPERT_WEIGHTS)
-            weights[ItemType.GENDER] = bad
-            calls.clear()
-            batch = soft_jaccard_items_batch(
-                self.corpus, self.pairs, None, weights
+    def test_no_weights_are_unit_weights(self):
+        for geo in (None, lookup):
+            assert reprs(
+                soft_jaccard_items_batch(self.corpus, self.pairs, geo, None)
+            ) == reprs(
+                soft_jaccard_items_batch(self.corpus, self.pairs, geo, {})
             )
-            assert len(calls) == len(self.pairs)
-            assert reprs(batch) == reprs(self.scalar(weights))
+        assert reprs(uniform_batch(self.corpus, self.pairs)) == reprs(
+            weighted_jaccard_items_batch(
+                self.corpus, self.pairs, {t: 1.0 for t in ItemType}
+            )
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_raise(self, bad):
+        weights = dict(DEFAULT_EXPERT_WEIGHTS)
+        weights[ItemType.GENDER] = bad
+        for method in ScoringMethod:
+            with pytest.raises(ValueError, match="GENDER"):
+                BlockScorer(method=method, weights=weights)
+        # Direct kernel calls raise too, even with no pair to score.
+        for pairs in (self.pairs, []):
+            with pytest.raises(ValueError, match="GENDER"):
+                weighted_jaccard_items_batch(self.corpus, pairs, weights)
+            with pytest.raises(ValueError, match="GENDER"):
+                soft_jaccard_items_batch(self.corpus, pairs, None, weights)
+        # A non-finite default weight raises wherever a type falls back
+        # to it.
+        with pytest.raises(ValueError, match="must be finite"):
+            weighted_jaccard_items_batch(self.corpus, self.pairs, {}, bad)
+
+    def test_kernel_modules_import_no_scalar_jaccard(self):
+        package = Path(batch_module.__file__).parent
+        for module in ("batch.py", "interning.py"):
+            tree = ast.parse((package / module).read_text(encoding="utf-8"))
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+            assert not imported & set(SCALAR_JACCARDS), module
+
+
+SCALAR_JACCARDS = (
+    "jaccard_items",
+    "weighted_jaccard_items",
+    "soft_jaccard_items",
+)
 
 
 class TestBlockScoresMatchScalar:
@@ -445,7 +491,7 @@ class TestChunkingInvariance:
             pairs[start:end] for start, end in zip(bounds, bounds[1:])
         ] or [[]]
         for kernel in (
-            lambda c, p: jaccard_items_batch(c, p),
+            lambda c, p: uniform_batch(c, p),
             lambda c, p: weighted_jaccard_items_batch(c, p, weights),
             lambda c, p: soft_jaccard_items_batch(c, p, lookup, weights),
         ):
@@ -475,7 +521,7 @@ class TestRowSlicing:
                 part.stop - part.start <= rows
                 for part in batch_module._row_slices(corpus, len(pairs))
             )
-            plain = jaccard_items_batch(corpus, pairs)
+            plain = uniform_batch(corpus, pairs)
             weighted = weighted_jaccard_items_batch(corpus, pairs, weights)
         assert reprs(plain) == reprs(
             [jaccard_items(item_bags[a], item_bags[b]) for a, b in pairs]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.classify.cart import CartLearner, CartModel
+from repro.classify.cart import CartLearner
 
 
 class TestValidation:

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from repro.datagen.generator import CorpusGenerator, GeneratorConfig, _typo
-from repro.datagen.names import COMMUNITIES
 from repro.records.schema import PlaceType, SourceKind
 
 

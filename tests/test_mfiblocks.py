@@ -194,17 +194,24 @@ class TestScoringVariants:
         assert expert.candidate_pairs
 
 
+def _corpus_bags(corpus):
+    """Every record's item bag, decoded from the corpus's bitset rows."""
+    return {
+        rid: frozenset(corpus.vocab[i] for i in corpus.row_item_ids(row))
+        for row, rid in enumerate(corpus.rids)
+    }
+
+
 class _ScalarScorer(BlockScorer):
     """The oracle scorer: every batch method replaced by scalar calls."""
 
     def pair_similarity_batch(self, corpus, pairs):
-        return [
-            self.pair_similarity(corpus.bags[a], corpus.bags[b])
-            for a, b in pairs
-        ]
+        bags = _corpus_bags(corpus)
+        return [self.pair_similarity(bags[a], bags[b]) for a, b in pairs]
 
     def score_blocks_batch(self, blocks, corpus, table):
-        return [self.score_block(records, corpus.bags) for records in blocks]
+        bags = _corpus_bags(corpus)
+        return [self.score_block(records, bags) for records in blocks]
 
 
 def _scorer(method, cls=BlockScorer):

@@ -133,31 +133,31 @@ class TestExecutors:
         assert executor.stats.inline_chunks == 3
         assert executor.stats.worker_chunks == 0
 
-    def test_multiprocess_map_matches_serial(self):
+    def test_multiprocess_map_matches_serial(self, closing):
         payloads = [list(range(i, i + 4)) for i in range(0, 24, 4)]
         serial = SerialExecutor().map_chunks(_square_chunk, payloads)
-        executor = MultiprocessExecutor(2)
+        executor = closing(MultiprocessExecutor(2))
         assert executor.map_chunks(_square_chunk, payloads) == serial
         assert executor.stats.worker_chunks == len(payloads)
         assert executor.stats.worker_retries == 0
 
-    def test_multiprocess_single_chunk_runs_inline(self):
-        executor = MultiprocessExecutor(4)
+    def test_multiprocess_single_chunk_runs_inline(self, closing):
+        executor = closing(MultiprocessExecutor(4))
         assert executor.map_chunks(_sum_chunk, [[1, 2, 3]]) == [6]
         assert executor.stats.inline_chunks == 1
         assert executor.stats.worker_chunks == 0
 
-    def test_empty_payload_list_is_a_noop(self):
-        executor = MultiprocessExecutor(2)
+    def test_empty_payload_list_is_a_noop(self, closing):
+        executor = closing(MultiprocessExecutor(2))
         assert executor.map_chunks(_sum_chunk, []) == []
         assert executor.stats.map_calls == 1
         assert executor.stats.chunks == 0
 
-    def test_worker_crash_is_retried_deterministically(self):
+    def test_worker_crash_is_retried_deterministically(self, closing):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
         expected = SerialExecutor().map_chunks(_square_chunk, payloads)
         plan = WorkerCrashPlan(map_call=0, chunk=0)
-        executor = MultiprocessExecutor(2, worker_fault=plan)
+        executor = closing(MultiprocessExecutor(2, worker_fault=plan))
         assert executor.map_chunks(_square_chunk, payloads) == expected
         assert plan.fired
         assert executor.stats.kills_armed == 1
@@ -179,22 +179,22 @@ class TestExecutors:
         with pytest.raises(ValueError):
             WorkerCrashPlan(map_call=-1)
 
-    def test_hung_worker_times_out_and_is_retried(self):
+    def test_hung_worker_times_out_and_is_retried(self, closing):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
         expected = SerialExecutor().map_chunks(_square_chunk, payloads)
         plan = WorkerHangPlan(map_call=0, chunk=1, seconds=30.0)
-        executor = MultiprocessExecutor(2, timeout=0.5, worker_hang=plan)
+        executor = closing(MultiprocessExecutor(2, timeout=0.5, worker_hang=plan))
         assert executor.map_chunks(_square_chunk, payloads) == expected
         assert plan.fired
         assert executor.stats.hangs_armed == 1
         assert executor.stats.chunks_timed_out == 1
         assert executor.stats.worker_retries >= 1
 
-    def test_hung_worker_timeout_traced(self):
+    def test_hung_worker_timeout_traced(self, closing):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
         expected = SerialExecutor().map_chunks(_square_chunk, payloads)
         plan = WorkerHangPlan(map_call=0, chunk=0, seconds=30.0)
-        executor = MultiprocessExecutor(2, timeout=0.5, worker_hang=plan)
+        executor = closing(MultiprocessExecutor(2, timeout=0.5, worker_hang=plan))
         tracer = Tracer()
         assert (
             executor.map_chunks(_square_chunk, payloads, tracer=tracer)
@@ -206,10 +206,10 @@ class TestExecutors:
         assert counters["parallel.worker_retries"] >= 1
         assert executor.stats.chunks_timed_out == 1
 
-    def test_timeout_without_hang_changes_nothing(self):
+    def test_timeout_without_hang_changes_nothing(self, closing):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
         expected = SerialExecutor().map_chunks(_square_chunk, payloads)
-        executor = MultiprocessExecutor(2, timeout=60.0)
+        executor = closing(MultiprocessExecutor(2, timeout=60.0))
         assert executor.map_chunks(_square_chunk, payloads) == expected
         assert executor.stats.chunks_timed_out == 0
         assert executor.stats.worker_retries == 0
@@ -293,9 +293,9 @@ class TestResolutionParity:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("chunk_size", [None, 5])
     def test_parallel_bytes_equal_serial(
-        self, corpora, serial_csv, tmp_path, persons, workers, chunk_size
+        self, corpora, serial_csv, tmp_path, persons, workers, chunk_size, closing
     ):
-        executor = make_executor(workers, chunk_size=chunk_size)
+        executor = closing(make_executor(workers, chunk_size=chunk_size))
         parallel = _resolve_csv(
             corpora[persons], executor, tmp_path, "parallel"
         )
@@ -339,10 +339,10 @@ class TestResolutionParity:
 
     @pytest.mark.usefixtures("dispatch_small_scoring")
     def test_worker_crash_resolution_parity(
-        self, corpora, serial_csv, tmp_path
+        self, corpora, serial_csv, tmp_path, closing
     ):
         plan = WorkerCrashPlan(map_call=1, chunk=0)
-        executor = MultiprocessExecutor(2, worker_fault=plan)
+        executor = closing(MultiprocessExecutor(2, worker_fault=plan))
         parallel = _resolve_csv(corpora[24], executor, tmp_path, "crashed")
         assert parallel == serial_csv[24]
         assert plan.fired
@@ -366,7 +366,7 @@ class TestCrossCuttingParity:
         "write_workers,resume_workers", [(1, 2), (2, 1), (2, 4)]
     )
     def test_resume_under_different_worker_count(
-        self, corpus, serial_csv, tmp_path, write_workers, resume_workers
+        self, corpus, serial_csv, tmp_path, write_workers, resume_workers, closing
     ):
         """Fingerprints carry no worker count: checkpoint anywhere,
         resume anywhere, same bytes."""
@@ -374,7 +374,7 @@ class TestCrossCuttingParity:
         with pytest.raises(SimulatedCrash):
             UncertainERPipeline(
                 PipelineConfig(**CONFIG),
-                executor=make_executor(write_workers),
+                executor=closing(make_executor(write_workers)),
             ).run(
                 corpus,
                 checkpoints=CheckpointStore(store_dir),
@@ -386,7 +386,7 @@ class TestCrossCuttingParity:
         store = CheckpointStore(store_dir)
         resumed = UncertainERPipeline(
             PipelineConfig(**CONFIG),
-            executor=make_executor(resume_workers),
+            executor=closing(make_executor(resume_workers)),
         ).run(corpus, checkpoints=store, resume=True)
         assert store.hits == [PIPELINE_STAGES[0]]
         out = tmp_path / "resumed.csv"
@@ -394,7 +394,7 @@ class TestCrossCuttingParity:
         assert out.read_bytes() == serial_csv
 
     def test_budgeted_run_degrades_identically_in_parallel(
-        self, corpus, tmp_path
+        self, corpus, tmp_path, closing
     ):
         """A budget defines its cut by serial visit order, so budgeted
         mining stays serial under any executor — and stays degraded."""
@@ -402,16 +402,16 @@ class TestCrossCuttingParity:
         serial = _resolve_csv(
             corpus, SerialExecutor(), tmp_path, "budget_serial", config=config
         )
-        executor = make_executor(2)
+        executor = closing(make_executor(2))
         parallel = _resolve_csv(
             corpus, executor, tmp_path, "budget_parallel", config=config
         )
         assert parallel == serial
 
     @pytest.mark.usefixtures("dispatch_small_scoring")
-    def test_report_carries_parallel_block(self, corpus):
+    def test_report_carries_parallel_block(self, corpus, closing):
         tracer = Tracer()
-        executor = make_executor(2)
+        executor = closing(make_executor(2))
         resolution = UncertainERPipeline(
             PipelineConfig(**CONFIG), tracer=tracer, executor=executor
         ).run(corpus)
@@ -430,7 +430,7 @@ class TestCrossCuttingParity:
             report.parallel
         )
 
-    def test_miner_counters_ignore_the_executor(self, corpus):
+    def test_miner_counters_ignore_the_executor(self, corpus, closing):
         """Mining is serial under every executor: a 2-worker traced run
         reports the serial run's FP-growth counters and tree gauge."""
         counters = (
@@ -438,7 +438,7 @@ class TestCrossCuttingParity:
             "fpgrowth.mfis", "fpgrowth.transactions",
         )
         readings = []
-        for executor in (SerialExecutor(), make_executor(2)):
+        for executor in (SerialExecutor(), closing(make_executor(2))):
             tracer = Tracer()
             report = UncertainERPipeline(
                 PipelineConfig(**CONFIG), tracer=tracer, executor=executor

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking.scoring import BlockScorer, SparseNeighborhoodFilter, neighborhood_cap
+from repro.blocking.scoring import SparseNeighborhoodFilter, neighborhood_cap
 from repro.core.resolution import PairEvidence, ResolutionResult, connected_components
 from repro.mining.fpgrowth import maximal_frequent_itemsets
 from repro.parallel import fixed_chunks, max_merge_into, partition_evenly

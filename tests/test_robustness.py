@@ -7,13 +7,11 @@ must degrade, never crash.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.blocking import MFIBlocks, MFIBlocksConfig
 from repro.classify import ADTreeLearner
 from repro.core import PipelineConfig, UncertainERPipeline
 from repro.records.dataset import Dataset
-from repro.records.schema import Gender, Place, PlaceType
+from repro.records.schema import Place, PlaceType
 from repro.similarity.features import extract_features
 from tests.conftest import make_record
 

@@ -7,13 +7,11 @@ import pytest
 from repro.geo import GeoPoint
 from repro.records.schema import (
     NAME_ATTRIBUTES,
-    Gender,
     Place,
     PlacePart,
     PlaceType,
     SourceKind,
     SourceRef,
-    VictimRecord,
 )
 from tests.conftest import make_record
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.resilience.faults import SimulatedCrash
 from repro.resilience.wal import (
-    DEFAULT_SEGMENT_MAX_BYTES,
     WAL_SCHEMA,
     WalError,
     WalFaultPlan,

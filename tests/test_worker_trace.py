@@ -90,9 +90,12 @@ def traced_run(small_corpus):
         tracer=tracer,
         executor=executor,
     )
-    with scoring_dispatch_floor():
-        resolution = pipeline.run(small_corpus)
-    return tracer, executor, resolution
+    try:
+        with scoring_dispatch_floor():
+            resolution = pipeline.run(small_corpus)
+        yield tracer, executor, resolution
+    finally:
+        executor.close()
 
 
 # -- WorkerTracer -------------------------------------------------------------
@@ -306,20 +309,20 @@ class TestMergeDeterminism:
 
 
 class TestTracedDispatch:
-    def test_traced_map_matches_untraced_results(self):
+    def test_traced_map_matches_untraced_results(self, closing):
         payloads = [list(range(i, i + 4)) for i in range(0, 16, 4)]
-        untraced = MultiprocessExecutor(2).map_chunks(
+        untraced = closing(MultiprocessExecutor(2)).map_chunks(
             _square_chunk, payloads
         )
-        traced_executor = MultiprocessExecutor(2)
+        traced_executor = closing(MultiprocessExecutor(2))
         traced = traced_executor.map_chunks(
             _square_chunk, payloads, tracer=Tracer()
         )
         assert traced == untraced
         assert traced_executor.stats.worker_chunks == len(payloads)
 
-    def test_dispatch_profile_buckets_and_chunks(self):
-        executor = MultiprocessExecutor(2)
+    def test_dispatch_profile_buckets_and_chunks(self, closing):
+        executor = closing(MultiprocessExecutor(2))
         payloads = [list(range(i, i + 4)) for i in range(0, 16, 4)]
         executor.map_chunks(_square_chunk, payloads, tracer=Tracer())
         assert len(executor.profile.dispatches) == 1
@@ -356,8 +359,8 @@ class TestTracedDispatch:
         assert dispatch.submit_seconds >= 1.0
         assert dispatch.accounted_fraction() >= 0.9
 
-    def test_single_chunk_runs_inline_in_parent(self):
-        executor = MultiprocessExecutor(2)
+    def test_single_chunk_runs_inline_in_parent(self, closing):
+        executor = closing(MultiprocessExecutor(2))
         results = executor.map_chunks(
             _square_chunk, [[1, 2, 3]], tracer=Tracer()
         )
@@ -368,11 +371,11 @@ class TestTracedDispatch:
         assert profile.worker == os.getpid()
         assert executor.stats.inline_chunks == 1
 
-    def test_crash_retry_is_traced_and_flagged(self):
+    def test_crash_retry_is_traced_and_flagged(self, closing):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
         expected = [_square_chunk(p) for p in payloads]
         plan = WorkerCrashPlan(map_call=0, chunk=0)
-        executor = MultiprocessExecutor(2, worker_fault=plan)
+        executor = closing(MultiprocessExecutor(2, worker_fault=plan))
         tracer = Tracer()
         assert executor.map_chunks(
             _square_chunk, payloads, tracer=tracer
@@ -386,8 +389,8 @@ class TestTracedDispatch:
         assert all(c.worker == os.getpid() for c in retried)
         assert tracer.aggregate.counters["parallel.worker_retries"] >= 1
 
-    def test_profile_memory_flows_to_gauge_and_block(self):
-        executor = MultiprocessExecutor(2, profile_memory=True)
+    def test_profile_memory_flows_to_gauge_and_block(self, closing):
+        executor = closing(MultiprocessExecutor(2, profile_memory=True))
         tracer = Tracer()
         executor.map_chunks(
             _square_chunk,
@@ -399,8 +402,8 @@ class TestTracedDispatch:
         assert block["profile_memory"] is True
         assert block["totals"]["tracemalloc_peak_bytes"] > 0
 
-    def test_untraced_dispatch_records_no_profile(self):
-        executor = MultiprocessExecutor(2)
+    def test_untraced_dispatch_records_no_profile(self, closing):
+        executor = closing(MultiprocessExecutor(2))
         executor.map_chunks(_square_chunk, [[1, 2], [3, 4]])
         assert executor.profile.dispatches == []
         assert executor.profile_echo() == {}
@@ -484,15 +487,15 @@ class TestTracedParity:
     """Acceptance: instrumentation must not change ranked output."""
 
     def test_traced_output_byte_identical_per_worker_count(
-        self, small_corpus, tmp_path
+        self, small_corpus, tmp_path, closing
     ):
         untraced_serial = _ranked_csv(
-            small_corpus, make_executor(1), tmp_path, "plain-w1"
+            small_corpus, closing(make_executor(1)), tmp_path, "plain-w1"
         )
         for workers in WORKER_COUNTS:
             traced = _ranked_csv(
                 small_corpus,
-                make_executor(workers),
+                closing(make_executor(workers)),
                 tmp_path,
                 f"traced-w{workers}",
                 tracer=Tracer(),

@@ -37,7 +37,7 @@ buffers that are directly returned (ownership transfers out).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from tools.reprolint.callgraph import (
     CallGraph,
